@@ -103,7 +103,7 @@ def main() -> int:
     from repro.experiments import clear_cache, run_experiment
     from repro.sim.config import SimConfig
     from repro.sim.content import ContentSimulator
-    from repro.sim.evaluate import replay_predictor
+    from repro.sim.replay_reference import replay_predictor
     from repro.sim.runner import ExperimentRunner
     from repro.sim.vector_replay import replay_redhip_vectorized
 

@@ -46,13 +46,15 @@ FORBIDDEN = (
 )
 
 #: Pinned allowlist: (file, exact line content after strip).  The two
-#: ``counts[...]`` lines are the vectorized replay's *predictor mirror*
+#: ``counts[...]`` lines are the bulk replay kernels' *predictor mirror*
 #: occupancy counters (LLC lines per table entry) — predictor state, not
 #: energy accounting.  Additions here need review: every new entry is a
 #: hole in the single-source-of-truth guarantee.
 ALLOWED = {
     ("src/repro/sim/vector_replay.py",
-     "if len(evict_entry) and counts[evict_entry].min() < 0:"),
+     "if len(evicted) and counts[evicted].min() < 0:"),
+    ("src/repro/sim/vector_replay.py",
+     "mirror = _running(counts[entry], step, seg_id, seg_start)"),
 }
 
 

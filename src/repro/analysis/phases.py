@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.hierarchy.events import EVENT_FILL, OutcomeStream
 from repro.predictors.base import PresencePredictor
-from repro.sim.evaluate import replay_predictor
+from repro.sim.replay_reference import replay_predictor
 from repro.util.validation import check_positive
 
 __all__ = ["PhaseStats", "windowed_stats", "windowed_skip_rate"]

@@ -16,8 +16,8 @@ Two families from the paper:
     the set-index/substring property, which is why it cannot support the
     cheap per-set recalibration of Figure 4.
 
-Scalar versions are used in the sequential replay loops; vectorized
-versions serve the analysis utilities and tests.
+Scalar versions are used in the reference replay loops; vectorized
+versions serve the bulk replay kernels, the analysis utilities and tests.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ stale data in real hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +25,9 @@ from repro import checking, telemetry
 from repro.energy.accounting import EnergyLedger
 from repro.energy.params import MachineConfig
 from repro.energy.timing import TimingResult
-from repro.hierarchy.events import EVENT_FILL, OutcomeStream
+from repro.hierarchy.events import OutcomeStream
 from repro.predictors.base import PresencePredictor, SchemeSpec
-from repro.sim import vector_replay
+from repro.sim import replay_reference, vector_replay
 from repro.sim.charging import PROBE_PHASED, ChargingKernel
 from repro.util.validation import ReproError
 from repro.workloads.trace import Workload
@@ -96,61 +97,6 @@ class SchemeResult:
         return self.speedup_over(base) * (2.0 - self.total_ratio(base))
 
 
-def replay_predictor(
-    stream: OutcomeStream, predictor: PresencePredictor
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Sequentially replay L1-miss lookups against the LLC event stream.
-
-    Returns the per-access prediction array (only meaningful where the
-    access missed L1), the per-access *consulted* array (False where a
-    gated predictor answered without touching its table), and the total
-    recalibration stall cycles.  Event ordering matches hardware:
-    fills/evictions caused by access *i* are applied after access *i*'s
-    lookup (the lookup races ahead of the fill).
-    """
-    h = stream.hit_level
-    n = len(h)
-    predicted = np.ones(n, dtype=bool)
-    consulted = np.zeros(n, dtype=bool)
-    miss_mask = h != 1
-    miss_idx = np.nonzero(miss_mask)[0].tolist()
-    miss_blocks = stream.block[miss_mask].tolist()
-
-    when = stream.llc_when.tolist()
-    ops = stream.llc_op.tolist()
-    eblocks = stream.llc_block.tolist()
-    m = len(when)
-
-    lookup = predictor.predict_present
-    fill = predictor.on_llc_fill
-    evict = predictor.on_llc_evict
-    note = predictor.note_l1_miss
-
-    stall = 0.0
-    ei = 0
-    out = []
-    consults = []
-    for pos, i in enumerate(miss_idx):
-        while ei < m and when[ei] < i:
-            if ops[ei] == EVENT_FILL:
-                fill(eblocks[ei])
-            else:
-                evict(eblocks[ei])
-            ei += 1
-        out.append(lookup(miss_blocks[pos]))
-        consults.append(predictor.last_consulted)
-        stall += note()
-    while ei < m:  # drain so predictor telemetry covers the full run
-        if ops[ei] == EVENT_FILL:
-            fill(eblocks[ei])
-        else:
-            evict(eblocks[ei])
-        ei += 1
-    predicted[miss_mask] = np.asarray(out, dtype=bool) if out else False
-    consulted[miss_mask] = np.asarray(consults, dtype=bool) if consults else False
-    return predicted, consulted, stall
-
-
 def _per_access_pcs(stream: OutcomeStream, workload: Workload) -> np.ndarray:
     """Per-access program counters in the merged multi-core order.
 
@@ -172,166 +118,280 @@ def _per_access_pcs(stream: OutcomeStream, workload: Workload) -> np.ndarray:
     return pcs
 
 
+def _bulk_kind(predictor) -> "str | None":
+    """The bulk kernel that replays ``predictor`` here, or None for the
+    reference loop (no kernel, or ``REPRO_NO_VECTOR_REPLAY`` is set)."""
+    if vector_replay.vector_replay_disabled():
+        return None
+    return vector_replay.bulk_kind(predictor)
+
+
+def replay_predictor(
+    stream: OutcomeStream, predictor: PresencePredictor
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Replay L1-miss presence lookups against the LLC event stream.
+
+    Returns the per-access prediction array (only meaningful where the
+    access missed L1), the per-access *consulted* array (False where a
+    gated predictor answered without touching its table), and the total
+    recalibration stall cycles.  Plain ReDHiP and CBF run their bulk
+    kernel (:mod:`repro.sim.vector_replay`); everything else, and every
+    predictor under ``REPRO_NO_VECTOR_REPLAY``, runs the reference loop
+    (:mod:`repro.sim.replay_reference`).  Both give identical answers.
+    """
+    kind = _bulk_kind(predictor)
+    if kind == "redhip":
+        return vector_replay.replay_redhip_vectorized(stream, predictor)
+    if kind == "cbf":
+        return vector_replay.replay_cbf_vectorized(stream, predictor)
+    return replay_reference.replay_predictor(stream, predictor)
+
+
 def replay_level_predictor(
     stream: OutcomeStream, predictor, pcs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Sequentially replay level-prediction lookups over the event stream.
+    """Replay level-prediction lookups over the event stream.
 
     Returns per-access predicted levels (0 = memory/no prediction),
     per-access confidence flags, and the total recalibration stall
-    cycles.  Event interleaving matches :func:`replay_predictor`: events
-    caused by earlier accesses land before access *i*'s lookup, access
-    *i*'s own events land before the next miss's lookup, and the train
-    step observes the true outcome between the lookup and the time
-    advance — the same order the integrated loop performs.
+    cycles; bulk kernel or reference loop as for :func:`replay_predictor`.
     """
-    h = stream.hit_level
-    n = len(h)
-    pred_level = np.zeros(n, dtype=np.int64)
-    confident = np.zeros(n, dtype=bool)
-    miss_mask = h != 1
-    miss_idx = np.nonzero(miss_mask)[0].tolist()
-    miss_blocks = stream.block[miss_mask].tolist()
-    miss_pcs = pcs[miss_mask].tolist()
-    miss_h = h[miss_mask].tolist()
-
-    when = stream.llc_when.tolist()
-    ops = stream.llc_op.tolist()
-    eblocks = stream.llc_block.tolist()
-    m = len(when)
-
-    predict = predictor.predict
-    train = predictor.train
-    fill = predictor.on_llc_fill
-    evict = predictor.on_llc_evict
-    note = predictor.note_l1_miss
-
-    stall = 0.0
-    ei = 0
-    levels_out = []
-    conf_out = []
-    for pos, i in enumerate(miss_idx):
-        while ei < m and when[ei] < i:
-            if ops[ei] == EVENT_FILL:
-                fill(eblocks[ei])
-            else:
-                evict(eblocks[ei])
-            ei += 1
-        level, conf = predict(miss_pcs[pos], miss_blocks[pos])
-        levels_out.append(level)
-        conf_out.append(conf)
-        train(miss_pcs[pos], miss_blocks[pos], miss_h[pos])
-        stall += note()
-    while ei < m:  # drain so predictor telemetry covers the full run
-        if ops[ei] == EVENT_FILL:
-            fill(eblocks[ei])
-        else:
-            evict(eblocks[ei])
-        ei += 1
-    if levels_out:
-        pred_level[miss_mask] = np.asarray(levels_out, dtype=np.int64)
-        confident[miss_mask] = np.asarray(conf_out, dtype=bool)
-    return pred_level, confident, stall
+    if _bulk_kind(predictor) == "levelpred":
+        return vector_replay.replay_levelpred_vectorized(stream, predictor, pcs)
+    return replay_reference.replay_level_predictor(stream, predictor, pcs)
 
 
 def replay_ehc(
     stream: OutcomeStream, predictor
 ) -> tuple[np.ndarray, float]:
-    """Sequentially replay expected-hit-count lookups over the events.
+    """Replay expected-hit-count lookups over the events.
 
     Returns the per-access predicted-dead flags (meaningful at L1
-    misses) and the total recalibration stall cycles.  Per miss the
-    order is: prior events, dead-block lookup, LLC-hit observation (when
-    the walk will hit at the LLC), time advance — then the miss's own
-    events before the next lookup, exactly as the integrated loop does.
+    misses) and the total recalibration stall cycles; bulk kernel or
+    reference loop as for :func:`replay_predictor`.
     """
-    h = stream.hit_level
-    n = len(h)
-    num_levels = stream.num_levels
-    dead = np.zeros(n, dtype=bool)
-    miss_mask = h != 1
-    miss_idx = np.nonzero(miss_mask)[0].tolist()
-    miss_blocks = stream.block[miss_mask].tolist()
-    miss_h = h[miss_mask].tolist()
+    if _bulk_kind(predictor) == "ehc":
+        return vector_replay.replay_ehc_vectorized(stream, predictor)
+    return replay_reference.replay_ehc(stream, predictor)
 
-    when = stream.llc_when.tolist()
-    ops = stream.llc_op.tolist()
-    eblocks = stream.llc_block.tolist()
-    m = len(when)
 
-    predict = predictor.predict_dead
-    observe = predictor.observe_hit
-    fill = predictor.on_llc_fill
-    evict = predictor.on_llc_evict
-    note = predictor.note_l1_miss
+#: Per-access outputs of each bulk kernel (the stall comes last).
+_REPLAY_OUTPUTS = {
+    "redhip": ("prediction", "consulted"),
+    "cbf": ("prediction", "consulted"),
+    "levelpred": ("pred_level", "confident"),
+    "ehc": ("dead",),
+}
 
-    stall = 0.0
-    ei = 0
-    out = []
-    for pos, i in enumerate(miss_idx):
-        while ei < m and when[ei] < i:
-            if ops[ei] == EVENT_FILL:
-                fill(eblocks[ei])
-            else:
-                evict(eblocks[ei])
-            ei += 1
-        out.append(predict(miss_blocks[pos]))
-        if miss_h[pos] == num_levels:
-            observe(miss_blocks[pos])
-        stall += note()
-    while ei < m:
-        if ops[ei] == EVENT_FILL:
-            fill(eblocks[ei])
-        else:
-            evict(eblocks[ei])
-        ei += 1
-    if out:
-        dead[miss_mask] = np.asarray(out, dtype=bool)
-    return dead, stall
+#: Final predictor state each bulk kernel must reproduce, beyond
+#: ``stats()`` and ``table_updates`` (dotted attribute paths).
+_REPLAY_STATE = {
+    "redhip": ("table._bits", "mirror._counts", "engine.sweeps",
+               "engine.l1_misses"),
+    "cbf": ("filter._counts", "filter._disabled", "filter.saturations",
+            "filter.inserts", "filter.deletes"),
+    "levelpred": ("tags", "levels", "conf", "_last", "table._bits",
+                  "mirror._counts", "engine.sweeps", "engine.l1_misses"),
+    "ehc": ("expected", "cur", "mirror._counts", "engine.sweeps",
+            "engine.l1_misses"),
+}
+
+
+def _attr_path(obj, path: str):
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def _replay_divergence(kind: str, predictor, reference, outputs: tuple,
+                       expected: tuple) -> list[str]:
+    """Every observable in which a ``kind`` bulk replay (``predictor``,
+    ``outputs``) differs from a reference replay (``reference``,
+    ``expected``): per-access outputs, stall cycles, the final state of
+    :data:`_REPLAY_STATE`, ``table_updates`` and ``stats()``."""
+    problems = []
+    for name, got, want in zip(_REPLAY_OUTPUTS[kind], outputs, expected):
+        if not np.array_equal(got, want):
+            bad = np.nonzero(got != want)[0]
+            problems.append(
+                f"{len(bad)} {name}(s) differ (first at access {int(bad[0])})"
+            )
+    if outputs[-1] != expected[-1]:
+        problems.append(f"stall {outputs[-1]} != sequential {expected[-1]}")
+    for path in _REPLAY_STATE[kind]:
+        if not np.array_equal(_attr_path(predictor, path),
+                              _attr_path(reference, path)):
+            problems.append(f"final {path} differs")
+    if predictor.table_updates != reference.table_updates:
+        problems.append(
+            f"table_updates {predictor.table_updates} != "
+            f"sequential {reference.table_updates}"
+        )
+    if predictor.stats() != reference.stats():
+        problems.append(
+            f"telemetry differs: {predictor.stats()} != {reference.stats()}"
+        )
+    return problems
 
 
 def _assert_replay_equivalent(
     stream: OutcomeStream,
     scheme: SchemeSpec,
     machine: MachineConfig,
-    predictor: PresencePredictor,
-    predicted: np.ndarray,
-    consulted: np.ndarray,
-    stall: float,
+    predictor,
+    outputs: tuple,
+    pcs: "np.ndarray | None" = None,
 ) -> None:
-    """Checked mode: the vectorized replay must match a sequential re-run.
+    """Checked mode: a bulk replay must match a reference re-run.
 
-    Builds a second fresh predictor, replays it sequentially, and compares
-    every observable the evaluation consumes — per-access predictions and
-    consults, stall cycles, final table bits, mirror counts, and the
-    telemetry dict.  Any divergence is a bug in the vectorized kernel (or
-    a predictor that wrongly passed :func:`vector_replay.eligible`).
+    Builds a second fresh predictor, replays it through the reference
+    loop, and compares every observable (:func:`_replay_divergence`).
+    Any divergence is a bug in the kernel (or a predictor that wrongly
+    passed :func:`vector_replay.bulk_kind`).
     """
     reference = scheme.build_predictor(machine)
-    ref_pred, ref_cons, ref_stall = replay_predictor(stream, reference)
-    problems = []
-    if not np.array_equal(predicted, ref_pred):
-        bad = np.nonzero(predicted != ref_pred)[0]
-        problems.append(
-            f"{len(bad)} prediction(s) differ (first at access {int(bad[0])})"
-        )
-    if not np.array_equal(consulted, ref_cons):
-        problems.append("consulted mask differs")
-    if stall != ref_stall:
-        problems.append(f"stall {stall} != sequential {ref_stall}")
-    if not np.array_equal(predictor.table._bits, reference.table._bits):
-        problems.append("final table bits differ")
-    if not np.array_equal(predictor.mirror._counts, reference.mirror._counts):
-        problems.append("final mirror counts differ")
-    if predictor.stats() != reference.stats():
-        problems.append(
-            f"telemetry differs: {predictor.stats()} != {reference.stats()}"
-        )
+    if scheme.kind == "levelpred":
+        expected = replay_reference.replay_level_predictor(stream, reference, pcs)
+    elif scheme.kind == "ehc":
+        expected = replay_reference.replay_ehc(stream, reference)
+    else:
+        expected = replay_reference.replay_predictor(stream, reference)
+    problems = _replay_divergence(vector_replay.bulk_kind(predictor), predictor,
+                                  reference, outputs, expected)
     if problems:
         raise ReproError(
             f"vectorized replay diverged from sequential for scheme "
             f"{scheme.name!r}: " + "; ".join(problems)
         )
+
+
+def _replay(stream, machine, scheme, workload, predictor, checked, pcs=None):
+    """Replay ``predictor`` once, tagged and counted with the path that
+    ran (``vector`` or ``sequential``); checked mode re-runs the
+    reference and asserts equivalence."""
+    kind = _bulk_kind(predictor)
+    path = "sequential" if kind is None else "vector"
+    with telemetry.span(
+        "replay", scheme=scheme.name, workload=workload.name
+    ) as replay_span:
+        replay_span.tag(path=path)
+        telemetry.count(f"replay.{path}")
+        if scheme.kind == "levelpred":
+            telemetry.count("replay.levelpred")
+            outputs = replay_level_predictor(stream, predictor, pcs)
+        elif scheme.kind == "ehc":
+            telemetry.count("replay.ehc")
+            outputs = replay_ehc(stream, predictor)
+        elif kind == "redhip":
+            # The kernel's own name, not the dispatcher: every replay is
+            # entered through exactly one public replay function, so a
+            # profiler wrapping those functions counts each replay once.
+            outputs = vector_replay.replay_redhip_vectorized(stream, predictor)
+        else:
+            outputs = replay_predictor(stream, predictor)
+        if checked and kind is not None:
+            with telemetry.span("replay_equivalence_check"):
+                _assert_replay_equivalent(
+                    stream, scheme, machine, predictor, outputs, pcs
+                )
+    return outputs
+
+
+class _Tail(NamedTuple):
+    """The evaluation options every scheme charges identically."""
+
+    fill_energy_weight: float
+    memory_latency: float
+    memory_energy_nj: float
+    mlp: float
+    dram: object
+
+
+def _settle(
+    kernel: ChargingKernel,
+    ledger: EnergyLedger,
+    lat: np.ndarray,
+    stream: OutcomeStream,
+    machine: MachineConfig,
+    scheme: SchemeSpec,
+    workload: Workload,
+    tail: _Tail,
+    predictor,
+    stall: float,
+    level_tallies: dict[int, tuple[int, int]],
+    skips: int = 0,
+    false_positives: int = 0,
+) -> SchemeResult:
+    """Charge what every scheme pays after its level probes — memory,
+    fills, MLP, predictor maintenance, timing, static energy — and
+    assemble the :class:`SchemeResult`."""
+    h = stream.hit_level
+    n = stream.num_accesses
+    l1_misses = int((h != 1).sum())
+    true_misses = int((h == 0).sum())
+
+    # ---- main memory (the paper's free data store unless configured) -----
+    kernel.charge_memory_bulk(
+        ledger, lat, h == 0, stream.block, true_misses,
+        memory_latency=tail.memory_latency,
+        memory_energy_nj=tail.memory_energy_nj, dram=tail.dram,
+    )
+
+    # ---- fills (optional accounting, identical across schemes) -----------
+    kernel.charge_fills_bulk(ledger, h, true_misses, tail.fill_energy_weight)
+
+    # ---- memory-level parallelism (1.0 = the paper's serialized model) ---
+    lat = kernel.mlp_adjust(lat, tail.mlp)
+
+    # ---- predictor maintenance -------------------------------------------
+    predictor_stats: dict = {}
+    if predictor is not None:
+        kernel.charge_predictor_maintenance(
+            ledger, getattr(predictor, "table_updates", 0),
+            predictor.maintenance_energy_nj(),
+        )
+        predictor_stats = predictor.stats()
+
+    # ---- timing ------------------------------------------------------------
+    timing = kernel.run_timing(
+        core_ids=stream.core.astype(np.int64),
+        gaps=stream.gap,
+        latencies=lat,
+        cpis=workload.cpis,
+        stall_cycles=stall,
+    )
+    static_nj = kernel.static_energy_nj(
+        timing.exec_cycles, include_pt=scheme.consults_table
+    )
+
+    # ---- per-level accounting under this scheme ---------------------------
+    level_lookups = {1: n}
+    level_hits = {1: n - l1_misses}
+    for level, (n_reach, n_hits) in level_tallies.items():
+        level_lookups[level] = n_reach
+        level_hits[level] = n_hits
+    hit_rates = {
+        lvl: (level_hits[lvl] / level_lookups[lvl] if level_lookups[lvl] else 0.0)
+        for lvl in level_lookups
+    }
+
+    return SchemeResult(
+        scheme=scheme.name,
+        workload=workload.name,
+        machine=machine.name,
+        timing=timing,
+        ledger=ledger,
+        static_nj=static_nj,
+        hit_rates=hit_rates,
+        level_lookups=level_lookups,
+        level_hits=level_hits,
+        l1_misses=l1_misses,
+        skips=skips,
+        false_positives=false_positives,
+        true_misses=true_misses,
+        recal_stall_cycles=stall,
+        predictor_stats=predictor_stats,
+    )
 
 
 def evaluate_scheme(
@@ -354,32 +414,25 @@ def evaluate_scheme(
     probed, never whether memory is reached), which dilutes relative gains
     — the sensitivity the ``ext-memory`` experiment studies.
 
-    Plain ReDHiP predictors replay through the epoch-batched NumPy kernel
-    (:mod:`repro.sim.vector_replay`) unless ``REPRO_NO_VECTOR_REPLAY`` is
-    set; ``checked`` (default: the ``REPRO_CHECKED`` environment) replays
-    *both* paths and raises if they diverge in any observable — the
-    equivalence oracle for the vectorized kernel.
+    ReDHiP, CBF, level prediction and EHC replay through their bulk NumPy
+    kernels (:mod:`repro.sim.vector_replay`) unless
+    ``REPRO_NO_VECTOR_REPLAY`` is set; ``checked`` (default: the
+    ``REPRO_CHECKED`` environment) also replays the reference loop and
+    raises if the two diverge in any observable — the equivalence oracle
+    for the kernels.
     """
+    if checked is None:
+        checked = checking.enabled(None)
+    tail = _Tail(fill_energy_weight, memory_latency, memory_energy_nj, mlp, dram)
     # The zoo schemes walk (or skip) levels in patterns the binary
     # predicted-present flow below cannot express; they get dedicated
     # accounting paths that consume the same kernel and the same frozen
     # stream, so the existing flow stays byte-for-byte untouched.
     if scheme.kind in ("levelpred", "oracle_level"):
-        return _evaluate_levelpred(
-            stream, machine, scheme, workload,
-            fill_energy_weight=fill_energy_weight,
-            memory_latency=memory_latency,
-            memory_energy_nj=memory_energy_nj,
-            mlp=mlp, dram=dram, checked=checked,
-        )
+        return _evaluate_levelpred(stream, machine, scheme, workload, tail,
+                                   checked)
     if scheme.kind == "ehc":
-        return _evaluate_ehc(
-            stream, machine, scheme, workload,
-            fill_energy_weight=fill_energy_weight,
-            memory_latency=memory_latency,
-            memory_energy_nj=memory_energy_nj,
-            mlp=mlp, dram=dram, checked=checked,
-        )
+        return _evaluate_ehc(stream, machine, scheme, workload, tail, checked)
 
     kernel = ChargingKernel.for_scheme(machine, scheme)
     ledger = EnergyLedger()
@@ -387,36 +440,16 @@ def evaluate_scheme(
     n = stream.num_accesses
     num_levels = stream.num_levels
     miss_mask = h != 1
-    l1_misses = int(miss_mask.sum())
-    true_misses = int((h == 0).sum())
 
     # ---- prediction ------------------------------------------------------
     predictor = None
     stall = 0.0
     consulted = np.zeros(n, dtype=bool)
-    if checked is None:
-        checked = checking.enabled(None)
     if scheme.kind == "predictor":
         predictor = scheme.build_predictor(machine)
-        with telemetry.span(
-            "replay", scheme=scheme.name, workload=workload.name
-        ) as replay_span:
-            if vector_replay.eligible(predictor) and not vector_replay.vector_replay_disabled():
-                replay_span.tag(path="vector")
-                telemetry.count("replay.vector")
-                predicted, consulted, stall = vector_replay.replay_redhip_vectorized(
-                    stream, predictor
-                )
-                if checked:
-                    with telemetry.span("replay_equivalence_check"):
-                        _assert_replay_equivalent(
-                            stream, scheme, machine, predictor, predicted,
-                            consulted, stall,
-                        )
-            else:
-                replay_span.tag(path="sequential")
-                telemetry.count("replay.sequential")
-                predicted, consulted, stall = replay_predictor(stream, predictor)
+        predicted, consulted, stall = _replay(
+            stream, machine, scheme, workload, predictor, checked
+        )
         fn = int((~predicted & (h >= 2)).sum())
         if fn:
             raise ReproError(
@@ -460,68 +493,9 @@ def evaluate_scheme(
                 hit_rank=stream.hit_rank,
             )
 
-        # ---- main memory (the paper's free data store unless configured) -----
-        kernel.charge_memory_bulk(
-            ledger, lat, h == 0, stream.block, true_misses,
-            memory_latency=memory_latency, memory_energy_nj=memory_energy_nj,
-            dram=dram,
-        )
-
-        # ---- fills (optional accounting, identical across schemes) -----------
-        kernel.charge_fills_bulk(ledger, h, true_misses, fill_energy_weight)
-
-        # ---- memory-level parallelism (1.0 = the paper's serialized model) ---
-        lat = kernel.mlp_adjust(lat, mlp)
-
-        # ---- predictor maintenance -------------------------------------------
-        predictor_stats: dict = {}
-        if predictor is not None:
-            kernel.charge_predictor_maintenance(
-                ledger, getattr(predictor, "table_updates", 0),
-                predictor.maintenance_energy_nj(),
-            )
-            predictor_stats = predictor.stats()
-
-        # ---- timing ------------------------------------------------------------
-        timing = kernel.run_timing(
-            core_ids=stream.core.astype(np.int64),
-            gaps=stream.gap,
-            latencies=lat,
-            cpis=workload.cpis,
-            stall_cycles=stall,
-        )
-        static_nj = kernel.static_energy_nj(
-            timing.exec_cycles, include_pt=scheme.consults_table
-        )
-
-        # ---- per-level accounting under this scheme ---------------------------
-        level_lookups = {1: n}
-        level_hits = {1: n - l1_misses}
-        for level, (n_reach, n_hits) in level_tallies.items():
-            level_lookups[level] = n_reach
-            level_hits[level] = n_hits
-        hit_rates = {
-            lvl: (level_hits[lvl] / level_lookups[lvl] if level_lookups[lvl] else 0.0)
-            for lvl in level_lookups
-        }
-
-        return SchemeResult(
-            scheme=scheme.name,
-            workload=workload.name,
-            machine=machine.name,
-            timing=timing,
-            ledger=ledger,
-            static_nj=static_nj,
-            hit_rates=hit_rates,
-            level_lookups=level_lookups,
-            level_hits=level_hits,
-            l1_misses=l1_misses,
-            skips=skips,
-            false_positives=false_positives,
-            true_misses=true_misses,
-            recal_stall_cycles=stall,
-            predictor_stats=predictor_stats,
-        )
+        return _settle(kernel, ledger, lat, stream, machine, scheme, workload,
+                       tail, predictor, stall, level_tallies, skips=skips,
+                       false_positives=false_positives)
 
 
 def _evaluate_levelpred(
@@ -529,13 +503,8 @@ def _evaluate_levelpred(
     machine: MachineConfig,
     scheme: SchemeSpec,
     workload: Workload,
-    *,
-    fill_energy_weight: float,
-    memory_latency: float,
-    memory_energy_nj: float,
-    mlp: float,
-    dram,
-    checked: "bool | None",
+    tail: _Tail,
+    checked: bool,
 ) -> SchemeResult:
     """Level prediction (``levelpred``) and its oracle (``oracle_level``).
 
@@ -551,25 +520,15 @@ def _evaluate_levelpred(
     n = stream.num_accesses
     num_levels = stream.num_levels
     miss_mask = h != 1
-    l1_misses = int(miss_mask.sum())
-    true_misses = int((h == 0).sum())
-    if checked is None:
-        checked = checking.enabled(None)
 
     predictor = None
     stall = 0.0
     if scheme.kind == "levelpred":
         predictor = scheme.build_predictor(machine)
         pcs = _per_access_pcs(stream, workload)
-        with telemetry.span(
-            "replay", scheme=scheme.name, workload=workload.name
-        ) as replay_span:
-            replay_span.tag(path="sequential")
-            telemetry.count("replay.sequential")
-            telemetry.count("replay.levelpred")
-            pred_level, confident, stall = replay_level_predictor(
-                stream, predictor, pcs
-            )
+        pred_level, confident, stall = _replay(
+            stream, machine, scheme, workload, predictor, checked, pcs
+        )
         skip_mask = miss_mask & confident & (pred_level == 0)
         fn = int((skip_mask & (h >= 2)).sum())
         if fn:
@@ -626,48 +585,15 @@ def _evaluate_levelpred(
             level_tallies[level] = (n_walk + n_singles,
                                     n_walk_hits + n_single_hits)
 
-        kernel.charge_memory_bulk(
-            ledger, lat, h == 0, stream.block, true_misses,
-            memory_latency=memory_latency, memory_energy_nj=memory_energy_nj,
-            dram=dram,
-        )
-        kernel.charge_fills_bulk(ledger, h, true_misses, fill_energy_weight)
-        lat = kernel.mlp_adjust(lat, mlp)
-
-        predictor_stats: dict = {}
-        if predictor is not None:
-            kernel.charge_predictor_maintenance(
-                ledger, getattr(predictor, "table_updates", 0),
-                predictor.maintenance_energy_nj(),
-            )
-            predictor_stats = predictor.stats()
-
-        timing = kernel.run_timing(
-            core_ids=stream.core.astype(np.int64),
-            gaps=stream.gap,
-            latencies=lat,
-            cpis=workload.cpis,
-            stall_cycles=stall,
-        )
-        static_nj = kernel.static_energy_nj(
-            timing.exec_cycles, include_pt=scheme.consults_table
-        )
-
-        level_lookups = {1: n}
-        level_hits = {1: n - l1_misses}
-        for level, (n_reach, n_hits) in level_tallies.items():
-            level_lookups[level] = n_reach
-            level_hits[level] = n_hits
-        hit_rates = {
-            lvl: (level_hits[lvl] / level_lookups[lvl] if level_lookups[lvl] else 0.0)
-            for lvl in level_lookups
-        }
+        result = _settle(kernel, ledger, lat, stream, machine, scheme,
+                         workload, tail, predictor, stall, level_tallies,
+                         skips=skips, false_positives=false_positives)
 
     if checked and scheme.kind == "levelpred":
         checking.check_levelpred_conservation(
             ctx=checking.evaluation_context(machine.name, workload.name,
                                             scheme.name),
-            l1_misses=l1_misses,
+            l1_misses=result.l1_misses,
             skips=skips,
             correct_singles=int(correct_mask.sum()),
             mispredicts=int(mispredict_mask.sum()),
@@ -675,24 +601,7 @@ def _evaluate_levelpred(
             walks=int(walk_mask.sum()),
             walk_reach_l2=int((walk_mask & ((h == 0) | (h >= 2))).sum()),
         )
-
-    return SchemeResult(
-        scheme=scheme.name,
-        workload=workload.name,
-        machine=machine.name,
-        timing=timing,
-        ledger=ledger,
-        static_nj=static_nj,
-        hit_rates=hit_rates,
-        level_lookups=level_lookups,
-        level_hits=level_hits,
-        l1_misses=l1_misses,
-        skips=skips,
-        false_positives=false_positives,
-        true_misses=true_misses,
-        recal_stall_cycles=stall,
-        predictor_stats=predictor_stats,
-    )
+    return result
 
 
 def _evaluate_ehc(
@@ -700,13 +609,8 @@ def _evaluate_ehc(
     machine: MachineConfig,
     scheme: SchemeSpec,
     workload: Workload,
-    *,
-    fill_energy_weight: float,
-    memory_latency: float,
-    memory_energy_nj: float,
-    mlp: float,
-    dram,
-    checked: "bool | None",
+    tail: _Tail,
+    checked: bool,
 ) -> SchemeResult:
     """Expected-hit-count evaluation: full walk, but LLC probes for
     predicted-dead blocks degrade to phased (tag-then-data) mode.
@@ -721,19 +625,9 @@ def _evaluate_ehc(
     n = stream.num_accesses
     num_levels = stream.num_levels
     miss_mask = h != 1
-    l1_misses = int(miss_mask.sum())
-    true_misses = int((h == 0).sum())
-    if checked is None:
-        checked = checking.enabled(None)
 
     predictor = scheme.build_predictor(machine)
-    with telemetry.span(
-        "replay", scheme=scheme.name, workload=workload.name
-    ) as replay_span:
-        replay_span.tag(path="sequential")
-        telemetry.count("replay.sequential")
-        telemetry.count("replay.ehc")
-        dead, stall = replay_ehc(stream, predictor)
+    dead, stall = _replay(stream, machine, scheme, workload, predictor, checked)
 
     with telemetry.span("energy_accounting", scheme=scheme.name,
                         workload=workload.name):
@@ -770,40 +664,8 @@ def _evaluate_ehc(
                     hit_rank=stream.hit_rank,
                 )
 
-        kernel.charge_memory_bulk(
-            ledger, lat, h == 0, stream.block, true_misses,
-            memory_latency=memory_latency, memory_energy_nj=memory_energy_nj,
-            dram=dram,
-        )
-        kernel.charge_fills_bulk(ledger, h, true_misses, fill_energy_weight)
-        lat = kernel.mlp_adjust(lat, mlp)
-
-        kernel.charge_predictor_maintenance(
-            ledger, getattr(predictor, "table_updates", 0),
-            predictor.maintenance_energy_nj(),
-        )
-        predictor_stats = predictor.stats()
-
-        timing = kernel.run_timing(
-            core_ids=stream.core.astype(np.int64),
-            gaps=stream.gap,
-            latencies=lat,
-            cpis=workload.cpis,
-            stall_cycles=stall,
-        )
-        static_nj = kernel.static_energy_nj(
-            timing.exec_cycles, include_pt=scheme.consults_table
-        )
-
-        level_lookups = {1: n}
-        level_hits = {1: n - l1_misses}
-        for level, (n_reach, n_hits) in level_tallies.items():
-            level_lookups[level] = n_reach
-            level_hits[level] = n_hits
-        hit_rates = {
-            lvl: (level_hits[lvl] / level_lookups[lvl] if level_lookups[lvl] else 0.0)
-            for lvl in level_lookups
-        }
+        result = _settle(kernel, ledger, lat, stream, machine, scheme,
+                         workload, tail, predictor, stall, level_tallies)
 
     if checked:
         checking.check_ehc_counters(
@@ -811,21 +673,4 @@ def _evaluate_ehc(
             checking.evaluation_context(machine.name, workload.name,
                                         scheme.name),
         )
-
-    return SchemeResult(
-        scheme=scheme.name,
-        workload=workload.name,
-        machine=machine.name,
-        timing=timing,
-        ledger=ledger,
-        static_nj=static_nj,
-        hit_rates=hit_rates,
-        level_lookups=level_lookups,
-        level_hits=level_hits,
-        l1_misses=l1_misses,
-        skips=0,
-        false_positives=0,
-        true_misses=true_misses,
-        recal_stall_cycles=stall,
-        predictor_stats=predictor_stats,
-    )
+    return result
