@@ -27,115 +27,43 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.checking import InvariantViolation, ReplayBundle
-from repro.core import (
-    PAPER_RECAL_PERIOD,
-    ExclusiveReDHiP,
-    GatedPredictor,
-    PredictionTable,
-    ReDHiPController,
-    RecalibrationCost,
-    RecalibrationEngine,
-    TagMirror,
-    gated_redhip_scheme,
-    redhip_scheme,
-)
-from repro.energy import (
-    CactiModel,
-    CostTable,
-    EnergyLedger,
-    MachineConfig,
-    StaticEnergyModel,
-    TimingModel,
-    get_machine,
-    paper_machine,
-    scaled_machine,
-    tiny_machine,
-)
-from repro.hierarchy import (
-    CacheHierarchy,
-    InclusionPolicy,
-    LRUCache,
-    OutcomeStream,
-)
-from repro.predictors import (
-    CBFPredictor,
-    CountingBloomFilter,
-    MissMapPredictor,
-    PresencePredictor,
-    SchemeSpec,
-    base_scheme,
-    cbf_scheme,
-    missmap_scheme,
-    oracle_scheme,
-    phased_scheme,
-    waypred_scheme,
-)
-from repro.prefetch import StridePrefetcher
-from repro.sim import (
-    ContentSimulator,
-    ExperimentResult,
-    ExperimentRunner,
-    IntegratedSimulator,
-    PrefetchConfig,
-    SchemeResult,
-    SimConfig,
-    bench_config,
-)
-from repro.workloads import PAPER_WORKLOADS, Trace, Workload, get_workload
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CBFPredictor",
-    "CacheHierarchy",
-    "CactiModel",
-    "ContentSimulator",
-    "CostTable",
-    "CountingBloomFilter",
-    "EnergyLedger",
-    "ExclusiveReDHiP",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "GatedPredictor",
-    "InclusionPolicy",
-    "IntegratedSimulator",
-    "InvariantViolation",
-    "ReplayBundle",
-    "LRUCache",
-    "MachineConfig",
-    "MissMapPredictor",
-    "OutcomeStream",
-    "PAPER_RECAL_PERIOD",
-    "PAPER_WORKLOADS",
-    "PredictionTable",
-    "PrefetchConfig",
-    "PresencePredictor",
-    "ReDHiPController",
-    "RecalibrationCost",
-    "RecalibrationEngine",
-    "SchemeResult",
-    "SchemeSpec",
-    "SimConfig",
-    "StaticEnergyModel",
-    "StridePrefetcher",
-    "TagMirror",
-    "TimingModel",
-    "Trace",
-    "Workload",
-    "__version__",
-    "base_scheme",
-    "bench_config",
-    "cbf_scheme",
-    "gated_redhip_scheme",
-    "get_machine",
-    "get_workload",
-    "missmap_scheme",
-    "oracle_scheme",
-    "paper_machine",
-    "phased_scheme",
-    "redhip_scheme",
-    "waypred_scheme",
-    "scaled_machine",
-    "tiny_machine",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.checking": ("InvariantViolation", "ReplayBundle"),
+    "repro.core.exclusive": ("ExclusiveReDHiP",),
+    "repro.core.gating": ("GatedPredictor", "gated_redhip_scheme"),
+    "repro.core.prediction_table": ("PredictionTable",),
+    "repro.core.recalibration": ("RecalibrationCost", "RecalibrationEngine",
+                                 "TagMirror"),
+    "repro.core.redhip": ("PAPER_RECAL_PERIOD", "ReDHiPController",
+                          "redhip_scheme"),
+    "repro.energy.accounting": ("CostTable", "EnergyLedger",
+                                "StaticEnergyModel"),
+    "repro.energy.cacti": ("CactiModel",),
+    "repro.energy.params": ("MachineConfig", "get_machine", "paper_machine",
+                            "scaled_machine", "tiny_machine"),
+    "repro.energy.timing": ("TimingModel",),
+    "repro.hierarchy.events": ("OutcomeStream",),
+    "repro.hierarchy.hierarchy": ("CacheHierarchy",),
+    "repro.hierarchy.inclusion": ("InclusionPolicy",),
+    "repro.hierarchy.replacement": ("LRUCache",),
+    "repro.predictors.base": ("PresencePredictor", "SchemeSpec", "base_scheme",
+                              "oracle_scheme", "phased_scheme",
+                              "waypred_scheme"),
+    "repro.predictors.bloom": ("CountingBloomFilter",),
+    "repro.predictors.cbf_scheme": ("CBFPredictor", "cbf_scheme"),
+    "repro.predictors.missmap": ("MissMapPredictor", "missmap_scheme"),
+    "repro.prefetch.stride": ("StridePrefetcher",),
+    "repro.sim.config": ("SimConfig", "bench_config"),
+    "repro.sim.content": ("ContentSimulator",),
+    "repro.sim.evaluate": ("SchemeResult",),
+    "repro.sim.integrated": ("IntegratedSimulator", "PrefetchConfig"),
+    "repro.sim.report": ("ExperimentResult",),
+    "repro.sim.runner": ("ExperimentRunner",),
+    "repro.workloads.names": ("PAPER_WORKLOADS",),
+    "repro.workloads.registry": ("get_workload",),
+    "repro.workloads.trace": ("Trace", "Workload"),
+}) + ["__version__"]

@@ -1,19 +1,13 @@
 """Trace and result analysis utilities: reuse-distance (stack-distance)
 profiling, windowed phase statistics, and multi-seed confidence runs."""
 
-from repro.analysis.multiseed import MetricEstimate, MultiSeedResult, run_multi_seed
-from repro.analysis.phases import PhaseStats, windowed_skip_rate, windowed_stats
-from repro.analysis.reuse import COLD, ReuseProfile, profile_trace, reuse_distances
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "COLD",
-    "MetricEstimate",
-    "MultiSeedResult",
-    "PhaseStats",
-    "ReuseProfile",
-    "profile_trace",
-    "reuse_distances",
-    "run_multi_seed",
-    "windowed_skip_rate",
-    "windowed_stats",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.analysis.multiseed": ("MetricEstimate", "MultiSeedResult",
+                                 "run_multi_seed"),
+    "repro.analysis.phases": ("PhaseStats", "windowed_skip_rate",
+                              "windowed_stats"),
+    "repro.analysis.reuse": ("COLD", "ReuseProfile", "profile_trace",
+                             "reuse_distances"),
+})

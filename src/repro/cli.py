@@ -26,16 +26,20 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# Only NumPy-free modules at the top; each verb imports the simulator
+# layers it runs, so the read-side verbs never pay for them (DESIGN.md,
+# "Start-up and import layering").
 from repro import telemetry
 from repro.energy.params import MACHINES, get_machine
-from repro.experiments import clear_cache, experiment_ids, run_experiment
 from repro.hierarchy.inclusion import InclusionPolicy
 from repro.sim.config import SimConfig
-from repro.sim.report import ExperimentResult
 from repro.util.validation import ReproError
-from repro.workloads import PAPER_WORKLOADS, get_workload
-from repro.workloads.tracefile import save_workload
+from repro.workloads.names import PAPER_WORKLOADS
+
+if TYPE_CHECKING:
+    from repro.sim.report import ExperimentResult
 
 __all__ = ["main", "build_parser"]
 
@@ -340,9 +344,45 @@ def _run_kwargs(args) -> dict:
     return kwargs
 
 
+def _run(args) -> None:
+    """``repro list`` / ``run`` / ``run-all``: the experiment registry."""
+    from repro.experiments import clear_cache, experiment_ids, run_experiment
+
+    if args.command == "list":
+        for eid in experiment_ids():
+            print(eid)
+        return
+    cfg = _config(args)
+    single = args.command == "run"
+    ids = [args.experiment] if single else experiment_ids()
+    store = {"store": args.store} if single else {}
+    label = f"run-{args.experiment}" if single else "run-all"
+    with telemetry.session(cfg, label=label) as sess:
+        for eid in ids:
+            result = run_experiment(eid, cfg, **store, **_run_kwargs(args))
+            _emit(result, args.out, chart=args.chart)
+        clear_cache()
+        _write_manifest(sess, cfg, ids, args.out)
+
+
+def _workload(args) -> None:
+    """``repro workload``: build (and optionally save) one workload."""
+    from repro.workloads import get_workload, save_workload
+
+    workload = get_workload(args.name, get_machine(args.machine), args.refs,
+                            args.seed)
+    print(f"{workload.name}: {workload.cores} cores x "
+          f"{workload.traces[0].num_refs} refs "
+          f"({workload.total_refs} total), CPIs "
+          f"{sorted(set(t.cpi for t in workload.traces))}")
+    if args.save:
+        path = save_workload(workload, args.save)
+        print(f"wrote {path}")
+
+
 def _experiments(args) -> int:
     """``repro experiments {ls,smoke}``: the declarative registry itself."""
-    from repro.experiments import SPECS, run_spec
+    from repro.experiments import SPECS, clear_cache, run_spec
 
     specs = [s for s in SPECS.values() if args.kind in (None, s.kind)]
     if args.action == "ls":
@@ -391,6 +431,7 @@ def _analyze(args) -> None:
     from repro.energy.params import BLOCK_SIZE
     from repro.sim.content import ContentSimulator
     from repro.viz import sparkline
+    from repro.workloads import get_workload
 
     cfg = _config(args)
     machine = cfg.machine
@@ -417,6 +458,7 @@ def _check(args) -> int:
     """Checked-mode verification pass: the shared CI/human entry point."""
     from repro.checking import replay
     from repro.sim.content import ContentSimulator
+    from repro.workloads import get_workload
 
     if args.replay is not None:
         report = replay(args.replay)
@@ -813,9 +855,8 @@ def _trace(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            for eid in experiment_ids():
-                print(eid)
+        if args.command in ("list", "run", "run-all"):
+            _run(args)
         elif args.command == "machines":
             for name in sorted(MACHINES):
                 m = get_machine(name)
@@ -823,33 +864,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{name:8s} {m.cores} cores, {sizes}, "
                       f"PT {m.prediction_table.size >> 10}KB "
                       f"({m.pt_overhead_ratio:.2%}, p-k={m.p_minus_k})")
-        elif args.command == "run":
-            cfg = _config(args)
-            with telemetry.session(cfg, label=f"run-{args.experiment}") as sess:
-                result = run_experiment(args.experiment, cfg,
-                                        store=args.store, **_run_kwargs(args))
-                _emit(result, args.out, chart=args.chart)
-                clear_cache()
-                _write_manifest(sess, cfg, [args.experiment], args.out)
-        elif args.command == "run-all":
-            cfg = _config(args)
-            with telemetry.session(cfg, label="run-all") as sess:
-                ids = experiment_ids()
-                for eid in ids:
-                    result = run_experiment(eid, cfg, **_run_kwargs(args))
-                    _emit(result, args.out, chart=args.chart)
-                clear_cache()
-                _write_manifest(sess, cfg, ids, args.out)
         elif args.command == "workload":
-            workload = get_workload(args.name, get_machine(args.machine),
-                                    args.refs, args.seed)
-            print(f"{workload.name}: {workload.cores} cores x "
-                  f"{workload.traces[0].num_refs} refs "
-                  f"({workload.total_refs} total), CPIs "
-                  f"{sorted(set(t.cpi for t in workload.traces))}")
-            if args.save:
-                path = save_workload(workload, args.save)
-                print(f"wrote {path}")
+            _workload(args)
         elif args.command == "experiments":
             return _experiments(args)
         elif args.command == "analyze":

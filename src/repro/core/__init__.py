@@ -2,23 +2,14 @@
 the cheap per-set recalibration machinery, the controller that plugs into
 the hierarchy, and the per-level variant for exclusive hierarchies."""
 
-from repro.core.exclusive import ExclusiveReDHiP, LevelPredictor
-from repro.core.gating import GatedPredictor, gated_redhip_scheme
-from repro.core.prediction_table import PredictionTable, pt_geometry
-from repro.core.recalibration import RecalibrationCost, RecalibrationEngine, TagMirror
-from repro.core.redhip import PAPER_RECAL_PERIOD, ReDHiPController, redhip_scheme
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExclusiveReDHiP",
-    "GatedPredictor",
-    "LevelPredictor",
-    "PAPER_RECAL_PERIOD",
-    "PredictionTable",
-    "ReDHiPController",
-    "RecalibrationCost",
-    "RecalibrationEngine",
-    "TagMirror",
-    "gated_redhip_scheme",
-    "pt_geometry",
-    "redhip_scheme",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.core.exclusive": ("ExclusiveReDHiP", "LevelPredictor"),
+    "repro.core.gating": ("GatedPredictor", "gated_redhip_scheme"),
+    "repro.core.prediction_table": ("PredictionTable", "pt_geometry"),
+    "repro.core.recalibration": ("RecalibrationCost", "RecalibrationEngine",
+                                 "TagMirror"),
+    "repro.core.redhip": ("PAPER_RECAL_PERIOD", "ReDHiPController",
+                          "redhip_scheme"),
+})

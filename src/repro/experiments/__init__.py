@@ -2,26 +2,12 @@
 describe them, and the registry that maps every paper artifact id to a
 runnable regeneration."""
 
-from repro.experiments.context import clear_cache, default_config, get_runner, paper_schemes
-from repro.experiments.driver import ExperimentSpec, run_spec
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    SPECS,
-    experiment_ids,
-    get_spec,
-    run_experiment,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentSpec",
-    "SPECS",
-    "clear_cache",
-    "default_config",
-    "experiment_ids",
-    "get_runner",
-    "get_spec",
-    "paper_schemes",
-    "run_experiment",
-    "run_spec",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.experiments.context": ("clear_cache", "default_config", "get_runner",
+                                  "paper_schemes"),
+    "repro.experiments.driver": ("ExperimentSpec", "run_spec"),
+    "repro.experiments.registry": ("EXPERIMENTS", "SPECS", "experiment_ids",
+                                   "get_spec", "run_experiment"),
+})

@@ -50,7 +50,7 @@ from typing import Any, Callable, Mapping
 from repro import faults, telemetry
 from repro.energy.params import get_machine
 from repro.experiments.context import default_config, get_runner
-from repro.sim.config import SimConfig
+from repro.sim.config import CACHE_ENV, SimConfig
 from repro.sim.report import ExperimentResult
 from repro.util.validation import ReproError
 
@@ -174,8 +174,6 @@ _SHARED_STREAM_CACHE: "tempfile.TemporaryDirectory | None" = None
 
 
 def _grid_stream_cache(cfg: SimConfig, store_path: Path) -> "str | None":
-    from repro.sim.streamcache import CACHE_ENV
-
     if cfg.stream_cache:
         return cfg.stream_cache
     if os.environ.get(CACHE_ENV, "").strip():

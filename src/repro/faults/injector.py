@@ -14,11 +14,15 @@ reproducible under parallel scheduling.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro import telemetry
+# ``util.make_rng`` resolves through the lazy package on first use, so a
+# process that never fires a fault never imports NumPy.
+from repro import telemetry, util
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.util.rng import make_rng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["FiredFault", "FaultInjector", "InjectedFault", "InjectedWorkerError"]
 
@@ -57,7 +61,7 @@ class FiredFault:
     def rng(self) -> np.random.Generator:
         """Payload RNG (e.g. which byte to corrupt) — deterministic per
         (plan seed, spec, key, hit)."""
-        return make_rng(
+        return util.make_rng(
             self._seed, f"fault-payload:{self.index}:{self.site}:{self.key}:{self.hit}"
         )
 
@@ -98,7 +102,7 @@ class FaultInjector:
             else:
                 rng = self._rngs.get(hit_key)
                 if rng is None:
-                    rng = make_rng(
+                    rng = util.make_rng(
                         self.plan.seed,
                         f"fault:{index}:{spec.site}:{spec.kind}:{key}",
                     )

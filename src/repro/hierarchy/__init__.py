@@ -2,36 +2,14 @@
 the multi-core deep hierarchy with inclusive/exclusive/hybrid policies, and
 the event streams the two-phase simulator consumes."""
 
-from repro.hierarchy.banking import BankSchedule
-from repro.hierarchy.events import (
-    EVENT_EVICT,
-    EVENT_FILL,
-    OutcomeRecorder,
-    OutcomeStream,
-)
-from repro.hierarchy.hierarchy import CacheHierarchy
-from repro.hierarchy.inclusion import InclusionPolicy
-from repro.hierarchy.replacement import (
-    BaseCache,
-    CacheStats,
-    LRUCache,
-    PLRUCache,
-    RandomCache,
-    make_cache,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BankSchedule",
-    "BaseCache",
-    "CacheHierarchy",
-    "CacheStats",
-    "EVENT_EVICT",
-    "EVENT_FILL",
-    "InclusionPolicy",
-    "LRUCache",
-    "OutcomeRecorder",
-    "OutcomeStream",
-    "PLRUCache",
-    "RandomCache",
-    "make_cache",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.hierarchy.banking": ("BankSchedule",),
+    "repro.hierarchy.events": ("EVENT_EVICT", "EVENT_FILL", "OutcomeRecorder",
+                               "OutcomeStream"),
+    "repro.hierarchy.hierarchy": ("CacheHierarchy",),
+    "repro.hierarchy.inclusion": ("InclusionPolicy",),
+    "repro.hierarchy.replacement": ("BaseCache", "CacheStats", "LRUCache",
+                                    "PLRUCache", "RandomCache", "make_cache"),
+})

@@ -2,52 +2,18 @@
 prediction and the Oracle bound — plus the hash-function library they and
 ReDHiP share."""
 
-from repro.predictors.base import (
-    PresencePredictor,
-    SchemeSpec,
-    base_scheme,
-    oracle_scheme,
-    phased_scheme,
-    waypred_scheme,
-)
-from repro.predictors.bloom import BloomFilter, CountingBloomFilter
-from repro.predictors.cbf_scheme import CBFPredictor, cbf_scheme
-from repro.predictors.ehc import EHCController, ehc_scheme
-from repro.predictors.levelpred import (
-    LevelPredController,
-    levelpred_scheme,
-    oracle_levelpred_scheme,
-)
-from repro.predictors.missmap import MissMapPredictor, missmap_scheme
-from repro.predictors.hashes import (
-    bits_hash,
-    bits_hash_array,
-    make_hash,
-    xor_hash,
-    xor_hash_array,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BloomFilter",
-    "CBFPredictor",
-    "CountingBloomFilter",
-    "EHCController",
-    "LevelPredController",
-    "PresencePredictor",
-    "SchemeSpec",
-    "base_scheme",
-    "bits_hash",
-    "bits_hash_array",
-    "cbf_scheme",
-    "ehc_scheme",
-    "levelpred_scheme",
-    "make_hash",
-    "missmap_scheme",
-    "MissMapPredictor",
-    "oracle_levelpred_scheme",
-    "oracle_scheme",
-    "phased_scheme",
-    "waypred_scheme",
-    "xor_hash",
-    "xor_hash_array",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.predictors.base": ("PresencePredictor", "SchemeSpec", "base_scheme",
+                              "oracle_scheme", "phased_scheme",
+                              "waypred_scheme"),
+    "repro.predictors.bloom": ("BloomFilter", "CountingBloomFilter"),
+    "repro.predictors.cbf_scheme": ("CBFPredictor", "cbf_scheme"),
+    "repro.predictors.ehc": ("EHCController", "ehc_scheme"),
+    "repro.predictors.hashes": ("bits_hash", "bits_hash_array", "make_hash",
+                                "xor_hash", "xor_hash_array"),
+    "repro.predictors.levelpred": ("LevelPredController", "levelpred_scheme",
+                                   "oracle_levelpred_scheme"),
+    "repro.predictors.missmap": ("MissMapPredictor", "missmap_scheme"),
+})

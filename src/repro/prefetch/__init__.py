@@ -1,14 +1,10 @@
 """Hardware stride prefetching substrate (§V-C): the classic RPT-based
 stride prefetcher and its ReDHiP-filtered probe path."""
 
-from repro.prefetch.rpt import RPT, STATE_INITIAL, STATE_STEADY, STATE_TRANSIENT
-from repro.prefetch.stride import PrefetchStats, StridePrefetcher
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PrefetchStats",
-    "RPT",
-    "STATE_INITIAL",
-    "STATE_STEADY",
-    "STATE_TRANSIENT",
-    "StridePrefetcher",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.prefetch.rpt": ("RPT", "STATE_INITIAL", "STATE_STEADY",
+                           "STATE_TRANSIENT"),
+    "repro.prefetch.stride": ("PrefetchStats", "StridePrefetcher"),
+})

@@ -4,11 +4,9 @@ See :mod:`repro.results.store` for the append-only SQLite store and
 :mod:`repro.sweep` for the orchestrator that fills it.
 """
 
-from repro.results.store import (
-    CANONICAL_COLUMNS,
-    STORE_SCHEMA,
-    CellRow,
-    ResultsStore,
-)
+from repro._lazy import lazy_exports
 
-__all__ = ["CANONICAL_COLUMNS", "STORE_SCHEMA", "CellRow", "ResultsStore"]
+__all__ = lazy_exports(globals(), {
+    "repro.results.store": ("CANONICAL_COLUMNS", "STORE_SCHEMA", "CellRow",
+                            "ResultsStore"),
+})

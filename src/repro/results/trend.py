@@ -8,6 +8,10 @@ table they answer "is the repo getting faster" — the regression context
 
 Files are treated as opaque flat JSON: a known-metric allowlist picks
 the comparable columns, everything else stays available under ``raw``.
+Numbers are only comparable within one configuration, so every row
+carries its ``config`` key — ``(benchmark, machine, refs_per_core)`` —
+and the table renders one block per key: a 20k-ref scaled run and a
+6k-ref tiny run never share a column.
 A file that fails to parse becomes an ``error`` row rather than sinking
 the table — bench artifacts are hand-edited often enough to be hostile
 input.
@@ -42,7 +46,8 @@ def collect_bench(root: "str | Path" = ".") -> list:
     rows = []
     for path in sorted(Path(root).glob(BENCH_GLOB)):
         row = {"file": path.name, "benchmark": "", "machine": "",
-               "refs_per_core": None, "metrics": {}, "error": None}
+               "refs_per_core": None, "config": ["", "", None],
+               "metrics": {}, "error": None}
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
@@ -65,6 +70,7 @@ def collect_bench(root: "str | Path" = ".") -> list:
         row["benchmark"] = str(doc.get("benchmark", ""))
         row["machine"] = str(doc.get("machine", ""))
         row["refs_per_core"] = doc.get("refs_per_core")
+        row["config"] = [row["benchmark"], row["machine"], row["refs_per_core"]]
         row["metrics"] = {k: doc[k] for k in TREND_METRICS if k in doc}
         rows.append(row)
     return rows
@@ -80,27 +86,40 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_trend(rows: list) -> str:
-    """Plain-text trend table (one line per bench artifact)."""
-    if not rows:
-        return "no BENCH_*.json artifacts found"
+def _render_block(rows: list) -> list:
+    """The table lines of rows that share one config key."""
     cols = [m for m in TREND_METRICS
             if any(m in r["metrics"] for r in rows)]
-    header = ["file", "machine", "refs"] + list(cols)
+    header = ["file"] + cols
     table = [header]
     for row in rows:
         if row["error"]:
             table.append([row["file"], f"error: {row['error']}"])
             continue
-        table.append(
-            [row["file"], row["machine"], _fmt(row["refs_per_core"])]
-            + [_fmt(row["metrics"].get(m)) for m in cols]
-        )
+        table.append([row["file"]]
+                     + [_fmt(row["metrics"].get(m)) for m in cols])
     widths = [max(len(line[i]) for line in table if i < len(line))
-              for i in range(len(header))]
+              for i in range(max(map(len, table)))]
+    return ["  ".join(cell.ljust(widths[i])
+                      for i, cell in enumerate(line)).rstrip()
+            for line in table]
+
+
+def render_trend(rows: list) -> str:
+    """Plain-text trend: one table per config key, in first-seen order."""
+    if not rows:
+        return "no BENCH_*.json artifacts found"
+    groups: dict = {}
+    for row in rows:
+        # Keyed by JSON text: a hand-edited file's values need not be
+        # hashable.
+        groups.setdefault(json.dumps(row["config"]), []).append(row)
     out = []
-    for line in table:
-        out.append("  ".join(
-            cell.ljust(widths[i]) for i, cell in enumerate(line)
-        ).rstrip())
+    for members in groups.values():
+        benchmark, machine, refs = members[0]["config"]
+        if out:
+            out.append("")
+        out.append(f"[{benchmark or '-'}] machine {machine or '-'}, "
+                   f"{_fmt(refs)} refs/core")
+        out.extend(_render_block(members))
     return "\n".join(out)

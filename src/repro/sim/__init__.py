@@ -2,47 +2,21 @@
 evaluation), the integrated single-pass reference simulator, and the
 caching experiment runner."""
 
-from repro.sim.config import SimConfig, bench_config, default_recal_period
-from repro.sim.content import ContentSimulator, merge_order
-from repro.sim.evaluate import SchemeResult, evaluate_scheme, replay_predictor
-from repro.sim.integrated import IntegratedSimulator, PrefetchConfig
-from repro.sim.parallel import default_workers, prewarm_streams
-from repro.sim.streamcache import StreamCache, resolve_cache, stream_key
-from repro.sim.vector_replay import replay_redhip_vectorized
-from repro.sim.report import (
-    ExperimentResult,
-    add_average,
-    dynamic_energy_table,
-    format_table,
-    hit_rate_table,
-    perf_energy_table,
-    speedup_table,
-)
-from repro.sim.runner import ExperimentRunner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ContentSimulator",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "IntegratedSimulator",
-    "PrefetchConfig",
-    "SchemeResult",
-    "SimConfig",
-    "StreamCache",
-    "add_average",
-    "bench_config",
-    "default_recal_period",
-    "default_workers",
-    "prewarm_streams",
-    "dynamic_energy_table",
-    "evaluate_scheme",
-    "format_table",
-    "hit_rate_table",
-    "merge_order",
-    "perf_energy_table",
-    "replay_predictor",
-    "replay_redhip_vectorized",
-    "resolve_cache",
-    "speedup_table",
-    "stream_key",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.sim.config": ("SimConfig", "bench_config", "default_recal_period"),
+    "repro.sim.content": ("ContentSimulator",),
+    "repro.sim.evaluate": ("SchemeResult", "evaluate_scheme",
+                           "replay_predictor"),
+    "repro.sim.integrated": ("IntegratedSimulator", "PrefetchConfig"),
+    "repro.sim.parallel": ("default_workers", "prewarm_streams"),
+    "repro.sim.report": ("ExperimentResult", "add_average",
+                         "dynamic_energy_table", "format_table",
+                         "hit_rate_table", "perf_energy_table",
+                         "speedup_table"),
+    "repro.sim.runner": ("ExperimentRunner",),
+    "repro.sim.streamcache": ("StreamCache", "resolve_cache", "stream_key"),
+    "repro.sim.vector_replay": ("replay_redhip_vectorized",),
+    "repro.workloads.shared": ("merge_order",),
+})

@@ -33,7 +33,12 @@ from repro.energy.params import MachineConfig, get_machine
 from repro.hierarchy.inclusion import InclusionPolicy
 from repro.util.validation import check_positive
 
-__all__ = ["SimConfig", "default_recal_period", "bench_config"]
+__all__ = ["CACHE_ENV", "SimConfig", "default_recal_period", "bench_config"]
+
+#: Stream-cache environment switch (value grammar in
+#: :mod:`repro.sim.streamcache`).  Defined here, not there, so the sweep
+#: scheduler can honour it without importing the simulator.
+CACHE_ENV = "REPRO_STREAM_CACHE"
 
 
 def default_recal_period(machine: MachineConfig) -> int:

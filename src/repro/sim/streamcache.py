@@ -44,6 +44,7 @@ import numpy as np
 
 from repro import faults, telemetry
 from repro.hierarchy.events import OutcomeStream
+from repro.sim.config import CACHE_ENV
 
 __all__ = [
     "CACHE_ENV",
@@ -58,9 +59,6 @@ __all__ = [
 #: Bump when the OutcomeStream layout or content-walk semantics change:
 #: the version is part of every key, so old entries become unreachable.
 SCHEMA_VERSION = 1
-
-#: Environment switch (see module docstring for the value grammar).
-CACHE_ENV = "REPRO_STREAM_CACHE"
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 

@@ -19,25 +19,12 @@ or snapshot view of it, and ``repro report`` (:mod:`repro.sweep.report`)
 folds journal + store + bench history into one post-run artifact.
 """
 
-from repro.sweep.journal import (
-    JOURNAL_SCHEMA,
-    SweepJournal,
-    journal_path,
-    read_journal,
-)
-from repro.sweep.scheduler import SweepReport, run_cells, run_sweep, shard_cells
-from repro.sweep.spec import CellSpec, SweepSpec, load_sweep
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CellSpec",
-    "JOURNAL_SCHEMA",
-    "SweepJournal",
-    "SweepReport",
-    "SweepSpec",
-    "journal_path",
-    "load_sweep",
-    "read_journal",
-    "run_cells",
-    "run_sweep",
-    "shard_cells",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.sweep.journal": ("JOURNAL_SCHEMA", "SweepJournal", "journal_path",
+                            "read_journal"),
+    "repro.sweep.scheduler": ("SweepReport", "run_cells", "run_sweep",
+                              "shard_cells"),
+    "repro.sweep.spec": ("CellSpec", "SweepSpec", "load_sweep"),
+})

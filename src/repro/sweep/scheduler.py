@@ -46,16 +46,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from repro import faults, telemetry
-from repro.results.store import CellRow, ResultsStore
-from repro.sim.charging import ENERGY_CATEGORIES
-from repro.sim.parallel import (
-    _worker_faults,
-    default_worker_timeout,
-    default_workers,
-)
-from repro.sim.runner import ExperimentRunner
-from repro.sim.streamcache import CACHE_ENV
 from repro.hierarchy.inclusion import InclusionPolicy
+from repro.results.store import CellRow, ResultsStore
+from repro.sim.config import CACHE_ENV
 from repro.sweep.journal import JOURNAL_SCHEMA, SweepJournal, journal_path
 from repro.sweep.spec import (
     CellSpec,
@@ -323,6 +316,9 @@ def _execute_cells(cells, sweep_name: str, stream_cache: "str | None",
     replays against it.  ``progress`` (the worker beacon's ``progress``)
     is called at each cell start with (label, cells done so far).
     """
+    from repro.sim.charging import ENERGY_CATEGORIES
+    from repro.sim.runner import ExperimentRunner
+
     rows, failures, stages = [], [], {}
     cfg = cells[0].sim_config(stream_cache=stream_cache, faults=faults_plan)
     runner = ExperimentRunner(cfg)
@@ -405,6 +401,8 @@ def run_shard(payloads: list, sweep_name: str, stream_cache: "str | None",
     shard's workload, so existing crash/hang plans apply unchanged.
     ``heartbeats`` is a manager queue proxy (or None on the serial path).
     """
+    from repro.sim.parallel import _worker_faults
+
     cells = [CellSpec(**p) for p in payloads]
     _ensure_plan(faults_plan)
     _worker_faults(cells[0].workload)
@@ -511,8 +509,6 @@ def run_cells(
                          total=len(cells), resumed=0, completed=0)
     if stream_cache is None:
         stream_cache = default_stream_cache(store_path)
-    nworkers = workers if workers is not None else default_workers()
-    timeout = timeout_s if timeout_s is not None else default_worker_timeout()
 
     t0 = time.perf_counter()
     with ResultsStore(store_path) as store, \
@@ -531,7 +527,16 @@ def run_cells(
             pending = pending[:max_cells]
         shards = shard_cells(pending)
         report.shards = len(shards)
-        report.workers = min(nworkers, len(shards)) if shards else 0
+        report.workers = 0
+        if shards:
+            # The simulator is first imported on this path (and in
+            # _execute_cells), so a fully resumed run never loads it.
+            from repro.sim.parallel import default_worker_timeout, default_workers
+
+            nworkers = workers if workers is not None else default_workers()
+            timeout = timeout_s if timeout_s is not None \
+                else default_worker_timeout()
+            report.workers = min(nworkers, len(shards))
 
         journal.append("run_started", sweep=name, schema=JOURNAL_SCHEMA,
                        store=str(store_path), pid=os.getpid(),

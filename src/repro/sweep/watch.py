@@ -86,6 +86,7 @@ class SweepView:
     events: list = field(default_factory=list)
     heartbeats: int = 0
     truncated_lines: int = 0
+    journal_present: bool = False
     journal_records: int = 0
     # store side
     store_rows: int = 0
@@ -157,6 +158,7 @@ def build_view(target: "str | Path", events: int = 5) -> SweepView:
 
     if journal_p.exists():
         records, bad = read_journal(journal_p)
+        view.journal_present = True
         view.journal_records = len(records)
         view.truncated_lines = len(bad)
         trouble: list = []
@@ -237,21 +239,29 @@ def _fmt_eta(seconds: "float | None") -> str:
 def render_view(view: SweepView, now: "float | None" = None) -> str:
     """One text frame; pure function of the view for testability."""
     now = now if now is not None else time.time()
-    state = "finished" if view.finished else (
-        "running" if view.in_flight else "idle/killed")
     lines = []
     title = view.sweep or view.store_path.stem
-    lines.append(f"sweep {title} [{state}]  "
-                 f"(journal: {view.journal_records} records, "
-                 f"{view.runs} run(s)"
-                 + (f", {view.truncated_lines} truncated line(s)"
-                    if view.truncated_lines else "")
-                 + ")")
-    lines.append(
-        f"  cells: {len(view.completed)} completed, {len(view.resumed)} "
-        f"resumed, {len(view.failed)} failed, {view.in_flight} in flight, "
-        f"{view.remaining} remaining of {view.run_total or view.store_rows}"
-    )
+    if not view.journal_present:
+        # A store whose journal is gone: its rows are settled cells, and
+        # nothing is known about runs, so no run counts are invented.
+        lines.append(f"sweep {title} [no journal]  "
+                     f"(journal: missing at {view.journal_path})")
+        lines.append(f"  cells: {view.store_rows} settled in the store")
+    else:
+        state = "finished" if view.finished else (
+            "running" if view.in_flight else "idle/killed")
+        lines.append(f"sweep {title} [{state}]  "
+                     f"(journal: {view.journal_records} records, "
+                     f"{view.runs} run(s)"
+                     + (f", {view.truncated_lines} truncated line(s)"
+                        if view.truncated_lines else "")
+                     + ")")
+        lines.append(
+            f"  cells: {len(view.completed)} completed, {len(view.resumed)} "
+            f"resumed, {len(view.failed)} failed, {view.in_flight} in "
+            f"flight, {view.remaining} remaining of "
+            f"{view.run_total or view.store_rows}"
+        )
     rate = view.rate()
     pieces = [f"store rows {view.store_rows}"]
     if rate > 0:

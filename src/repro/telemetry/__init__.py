@@ -43,6 +43,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
+from repro._lazy import lazy_exports
 from repro.telemetry.registry import (
     NULL_REGISTRY,
     Histogram,
@@ -232,21 +233,13 @@ def merge_snapshot(snapshot: dict) -> None:
         s.merge_snapshot(snapshot)
 
 
-# Re-exported late to avoid a cycle (manifest imports this module's API).
-from repro.telemetry.manifest import (  # noqa: E402
-    MANIFEST_NAME,
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    load_manifest,
-    validate_manifest,
-    write_manifest,
-)
+#: Default run-manifest file name, written next to the run's artifacts.
+MANIFEST_NAME = "run_manifest.json"
 
-__all__ += [
-    "MANIFEST_NAME",
-    "MANIFEST_SCHEMA_VERSION",
-    "build_manifest",
-    "load_manifest",
-    "validate_manifest",
-    "write_manifest",
-]
+# The manifest writer imports platform and subprocess; only the verbs that
+# write or read a manifest pay for them.
+__all__ += ["MANIFEST_NAME"] + lazy_exports(globals(), {
+    "repro.telemetry.manifest": ("MANIFEST_SCHEMA_VERSION", "build_manifest",
+                                 "load_manifest", "validate_manifest",
+                                 "write_manifest"),
+})

@@ -24,6 +24,8 @@ import sys
 import time
 from pathlib import Path
 
+from repro.telemetry import MANIFEST_NAME
+
 __all__ = [
     "MANIFEST_NAME",
     "MANIFEST_SCHEMA_VERSION",
@@ -35,9 +37,6 @@ __all__ = [
 
 #: Bump on any change to the manifest's top-level shape.
 MANIFEST_SCHEMA_VERSION = 1
-
-#: Default file name, written next to the run's artifacts.
-MANIFEST_NAME = "run_manifest.json"
 
 _KIND = "repro-run-manifest"
 

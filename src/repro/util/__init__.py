@@ -2,54 +2,18 @@
 
 These helpers are deliberately dependency-light; every other subpackage may
 import :mod:`repro.util` but :mod:`repro.util` imports nothing from the rest
-of the package.
+of the package (beyond the lazy-export helper).
 """
 
-from repro.util.bitops import (
-    bit_slice,
-    ilog2,
-    is_pow2,
-    mask,
-    one_hot64,
-    popcount64_array,
-)
-from repro.util.proptest import cases, random_blocks, random_pow2
-from repro.util.rng import make_rng, seed_from_string
-from repro.util.stats import (
-    geometric_mean,
-    normalize_to,
-    percent,
-    ratio_series,
-    summarize,
-)
-from repro.util.validation import (
-    ReproError,
-    check_in,
-    check_positive,
-    check_pow2,
-    check_range,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ReproError",
-    "bit_slice",
-    "cases",
-    "check_in",
-    "check_positive",
-    "check_pow2",
-    "check_range",
-    "geometric_mean",
-    "ilog2",
-    "is_pow2",
-    "make_rng",
-    "mask",
-    "normalize_to",
-    "one_hot64",
-    "percent",
-    "popcount64_array",
-    "random_blocks",
-    "random_pow2",
-    "ratio_series",
-    "seed_from_string",
-    "summarize",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.util.bitops": ("bit_slice", "ilog2", "is_pow2", "mask", "one_hot64",
+                          "popcount64_array"),
+    "repro.util.proptest": ("cases", "random_blocks", "random_pow2"),
+    "repro.util.rng": ("make_rng", "seed_from_string"),
+    "repro.util.stats": ("geometric_mean", "normalize_to", "percent",
+                         "ratio_series", "summarize"),
+    "repro.util.validation": ("ReproError", "check_in", "check_positive",
+                              "check_pow2", "check_range"),
+})

@@ -1,12 +1,13 @@
 """Bit-level helpers used by the prediction table, hashes and caches.
 
 Everything here operates on plain Python integers (arbitrary precision) or on
-NumPy ``uint64`` arrays; the array variants are the ones used on hot paths.
+NumPy ``uint64`` arrays.  The module itself does not import NumPy: the
+configuration layer validates power-of-two geometry through it, and that
+layer must stay importable without NumPy (see DESIGN.md, "Start-up and
+import layering").
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 __all__ = [
     "ilog2",
@@ -60,17 +61,16 @@ def one_hot64(position: int) -> int:
     return 1 << position
 
 
-def popcount64_array(words: np.ndarray) -> int:
+def popcount64_array(words) -> int:
     """Total number of set bits across an array of ``uint64`` words.
 
     Used to report prediction-table occupancy.  Works on any integer dtype
     but is intended for the table's ``uint64`` line storage.
     """
-    if words.size == 0:
-        return 0
-    # View as bytes and use the vectorized uint8 popcount via unpackbits.
-    as_bytes = words.astype("<u8", copy=False).view(np.uint8)
-    return int(np.unpackbits(as_bytes).sum())
+    # One arbitrary-precision integer over the little-endian bytes has
+    # exactly the array's set bits.
+    data = words.astype("<u8", copy=False).tobytes()
+    return int.from_bytes(data, "little").bit_count()
 
 
 def interleave_bank(index: int, banks: int) -> int:

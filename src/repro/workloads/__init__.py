@@ -5,145 +5,24 @@ GraphLab-PMF application tracers, the multiprogrammed ``mix``, and the
 top-level :func:`get_workload` registry used by every experiment.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.energy.params import MachineConfig
-from repro.util.validation import ConfigError
-from repro.workloads.graph500 import build_graph500_trace
-from repro.workloads.mix import build_mix_workload
-from repro.workloads.pmf import build_pmf_trace
-from repro.workloads.shared import (
-    BlockChunk,
-    BlockRef,
-    BlockStreamIterator,
-    build_shared_workload,
-    iter_refs,
-    merge_order,
-    trace_block_stream,
-    workload_block_stream,
-)
-from repro.workloads.spec import (
-    EXTENDED_MODELS,
-    EXTENDED_NAMES,
-    SPEC_MODELS,
-    SPEC_NAMES,
-    BenchmarkModel,
-    build_extended_trace,
-    build_spec_trace,
-)
-from repro.workloads.synthetic import Component, Region, assemble_mixture
-from repro.workloads.trace import (
-    ASID_STRIDE,
-    Trace,
-    Workload,
-    duplicate_for_cores,
-    per_core_address_space,
-)
-from repro.workloads.tracefile import load_workload, save_workload
-
-__all__ = [
-    "ASID_STRIDE",
-    "BenchmarkModel",
-    "BlockChunk",
-    "BlockRef",
-    "BlockStreamIterator",
-    "EXTENDED_MODELS",
-    "EXTENDED_NAMES",
-    "Component",
-    "PAPER_WORKLOADS",
-    "Region",
-    "SPEC_MODELS",
-    "SPEC_NAMES",
-    "Trace",
-    "Workload",
-    "assemble_mixture",
-    "build_graph500_trace",
-    "build_mix_workload",
-    "build_pmf_trace",
-    "build_shared_workload",
-    "build_extended_trace",
-    "build_spec_trace",
-    "duplicate_for_cores",
-    "get_workload",
-    "get_workload_stream",
-    "iter_refs",
-    "merge_order",
-    "per_core_address_space",
-    "load_workload",
-    "save_workload",
-    "trace_block_stream",
-    "workload_block_stream",
-]
-
-#: The eleven workloads of §V's figures, in the paper's bar order
-#: (the twelfth bar, "average", is computed by the experiment layer).
-PAPER_WORKLOADS = (
-    "bwaves",
-    "GemsFDTD",
-    "lbm",
-    "mcf",
-    "milc",
-    "soplex",
-    "astar",
-    "cactusADM",
-    "mix",
-    "pmf",
-    "blas",
-)
-
-
-def get_workload(
-    name: str, machine: MachineConfig, refs_per_core: int, seed: int = 1
-) -> Workload:
-    """Build a named workload for ``machine``.
-
-    SPEC names are duplicated across all cores (multiprogramming, distinct
-    address spaces); ``mix`` assigns a different SPEC model per core;
-    ``blas``/``pmf`` generate one distinct process trace per core.
-    """
-    if refs_per_core <= 0:
-        raise ConfigError("refs_per_core must be positive")
-    if name in SPEC_MODELS:
-        trace = build_spec_trace(name, machine, refs_per_core, seed)
-        return duplicate_for_cores(trace, machine.cores, seed=seed)
-    if name in EXTENDED_MODELS:
-        trace = build_extended_trace(name, machine, refs_per_core, seed)
-        return duplicate_for_cores(trace, machine.cores, seed=seed)
-    if name == "mix":
-        return build_mix_workload(machine, refs_per_core, seed)
-    if name == "blas":
-        traces = tuple(
-            per_core_address_space(
-                build_graph500_trace(machine, refs_per_core, seed, core), core, seed
-            )
-            for core in range(machine.cores)
-        )
-        return Workload(name="blas", traces=traces)
-    if name == "pmf":
-        traces = tuple(
-            per_core_address_space(
-                build_pmf_trace(machine, refs_per_core, seed, core), core, seed
-            )
-            for core in range(machine.cores)
-        )
-        return Workload(name="pmf", traces=traces)
-    raise ConfigError(
-        f"unknown workload {name!r}; available: "
-        f"{sorted((*SPEC_MODELS, *EXTENDED_MODELS, 'mix', 'blas', 'pmf'))}"
-    )
-
-
-def get_workload_stream(
-    name: str,
-    machine: MachineConfig,
-    refs_per_core: int,
-    seed: int = 1,
-    chunk_refs: "int | None" = None,
-) -> BlockStreamIterator:
-    """Build a named workload and hand back its merged block stream.
-
-    The chunked NumPy view of :func:`get_workload` — same recipe, same
-    interleaving; see :mod:`repro.workloads.shared` for the protocol.
-    """
-    workload = get_workload(name, machine, refs_per_core, seed)
-    return workload.block_stream(chunk_refs=chunk_refs)
+__all__ = lazy_exports(globals(), {
+    "repro.workloads.graph500": ("build_graph500_trace",),
+    "repro.workloads.mix": ("build_mix_workload",),
+    "repro.workloads.names": ("EXTENDED_NAMES", "PAPER_WORKLOADS",
+                              "SPEC_NAMES"),
+    "repro.workloads.pmf": ("build_pmf_trace",),
+    "repro.workloads.registry": ("get_workload", "get_workload_stream"),
+    "repro.workloads.shared": ("BlockChunk", "BlockRef", "BlockStreamIterator",
+                               "build_shared_workload", "iter_refs",
+                               "merge_order", "trace_block_stream",
+                               "workload_block_stream"),
+    "repro.workloads.spec": ("EXTENDED_MODELS", "SPEC_MODELS",
+                             "BenchmarkModel", "build_extended_trace",
+                             "build_spec_trace"),
+    "repro.workloads.synthetic": ("Component", "Region", "assemble_mixture"),
+    "repro.workloads.trace": ("ASID_STRIDE", "Trace", "Workload",
+                              "duplicate_for_cores", "per_core_address_space"),
+    "repro.workloads.tracefile": ("load_workload", "save_workload"),
+})

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from repro.energy.params import MachineConfig
 from repro.util.validation import ConfigError
+from repro.workloads.names import EXTENDED_NAMES, SPEC_NAMES
 from repro.workloads.synthetic import Component, Region, assemble_mixture
 from repro.workloads.trace import Trace
 
@@ -151,8 +152,6 @@ SPEC_MODELS: dict[str, BenchmarkModel] = {
     ),
 }
 
-SPEC_NAMES = tuple(SPEC_MODELS)
-
 
 def build_spec_trace(
     name: str, machine: MachineConfig, refs: int, seed: int
@@ -211,8 +210,6 @@ EXTENDED_MODELS: dict[str, BenchmarkModel] = {
         ),
     ),
 }
-
-EXTENDED_NAMES = tuple(EXTENDED_MODELS)
 
 
 def build_extended_trace(

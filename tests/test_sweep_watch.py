@@ -114,6 +114,24 @@ def test_view_without_journal_degrades_to_store_counts(tmp_path):
     render_view(view)                                  # renders, no raise
 
 
+def test_watch_without_journal_labels_a_complete_store(tmp_path, capsys):
+    """A finished store whose journal is gone: the frame says so and
+    counts the store's rows as settled cells, never "0 completed ... 0
+    remaining" next to a full store."""
+    from repro.cli import main
+
+    store = tmp_path / "smoke.sqlite"
+    assert main(["sweep", str(GOLDEN / "sweep_smoke.json"),
+                 "--store", str(store), "--workers", "1"]) == 0
+    journal_path(store).unlink()
+    capsys.readouterr()
+    assert main(["watch", str(store), "--once"]) == 0
+    frame = capsys.readouterr().out
+    assert "[no journal]" in frame and "[idle/killed]" not in frame
+    assert "8 settled in the store" in frame
+    assert "0 completed" not in frame and "remaining" not in frame
+
+
 # ----------------------------------------------------------------- report
 def test_report_counts_match_store_and_journal(tmp_path):
     spec = tiny_spec(stream_cache=str(tmp_path / "cache"))
@@ -156,6 +174,48 @@ def test_bench_trend_folds_committed_artifacts():
     assert "BENCH_pr2.json" in table and "replay_speedup" in table
 
 
+def test_bench_trend_never_mixes_configs_in_one_column(tmp_path):
+    """Shaped like the committed PR 2 (scaled, 20k refs) and PR 6 (tiny,
+    6k refs) artifacts: each config renders as its own block, so 9.06 s
+    and 0.184 s never line up under one ``fig6_cold_s`` header."""
+    (tmp_path / "BENCH_pr2.json").write_text(json.dumps({
+        "benchmark": "fig6 cold-vs-warm", "machine": "scaled",
+        "refs_per_core": 20000, "fig6_cold_s": 9.0593,
+        "replay_speedup": 9.3}))
+    (tmp_path / "BENCH_pr6.json").write_text(json.dumps({
+        "benchmark": "fig6 cold-path contract", "machine": "tiny",
+        "refs_per_core": 6000, "fig6_cold_s": 0.184, "pass": True}))
+    (tmp_path / "BENCH_pr7.json").write_text(json.dumps({
+        "benchmark": "fig6 cold-vs-warm", "machine": "scaled",
+        "refs_per_core": 20000, "fig6_cold_s": 8.5}))
+    rows = collect_bench(tmp_path)
+    assert [r["config"] for r in rows] == [
+        ["fig6 cold-vs-warm", "scaled", 20000],
+        ["fig6 cold-path contract", "tiny", 6000],
+        ["fig6 cold-vs-warm", "scaled", 20000],
+    ]
+    json.dumps(rows)                                   # --json stays valid
+    blocks = render_trend(rows).split("\n\n")
+    assert len(blocks) == 2
+    scaled, tiny = blocks
+    assert "scaled, 20000 refs/core" in scaled and "9.0593" in scaled
+    assert "8.5" in scaled and "0.184" not in scaled
+    assert "tiny, 6000 refs/core" in tiny and "0.184" in tiny
+    assert "9.0593" not in tiny and "replay_speedup" not in tiny
+
+
+def test_bench_trend_script_json_rows_carry_the_config():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "bench_trend.py"),
+         "--json", "--root", str(REPO_ROOT)],
+        capture_output=True, text=True, check=True, timeout=60)
+    rows = json.loads(proc.stdout)
+    assert rows and all(len(r["config"]) == 3 for r in rows)
+
+
 def test_bench_trend_survives_a_corrupt_artifact(tmp_path):
     (tmp_path / "BENCH_a.json").write_text('{"benchmark": "x", "pass": true}')
     (tmp_path / "BENCH_b.json").write_text("{not json")
@@ -175,16 +235,19 @@ def test_bench_trend_warns_and_keeps_going_on_hostile_files(tmp_path):
         '{"benchmark": "x", "replay_speedup": 2.5}')
     (tmp_path / "BENCH_binary.json").write_bytes(b"\xff\xfe\x00bad")
     (tmp_path / "BENCH_list.json").write_text('[1, 2, 3]')
+    (tmp_path / "BENCH_odd.json").write_text(
+        '{"benchmark": "y", "refs_per_core": [1, 2], "pass": false}')
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rows = collect_bench(tmp_path)
-    # Name-sorted: binary (error), good, list (error).
-    assert [bool(r["error"]) for r in rows] == [True, False, True]
+    # Name-sorted: binary (error), good, list (error), odd.
+    assert [bool(r["error"]) for r in rows] == [True, False, True, False]
     assert "expected a JSON object" in rows[2]["error"]
     assert any(issubclass(w.category, RuntimeWarning)
                and "BENCH_binary.json" in str(w.message) for w in caught)
     table = render_trend(rows)
     assert "BENCH_good.json" in table and "2.5" in table
+    assert "[1, 2] refs/core" in table and "FAIL" in table
 
 
 # -------------------------------------------------------------------- CLI
