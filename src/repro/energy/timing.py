@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.energy.params import MachineConfig
-from repro.util.validation import ConfigError, check_positive
+from repro.util.validation import ConfigError
 
 __all__ = ["TimingModel", "TimingResult"]
 
@@ -55,6 +55,7 @@ class TimingModel:
         latencies: np.ndarray,
         cpis: np.ndarray,
         stall_cycles: float = 0.0,
+        gap_sums: "np.ndarray | None" = None,
     ) -> TimingResult:
         """Compute per-core cycle totals.
 
@@ -71,19 +72,26 @@ class TimingModel:
         stall_cycles:
             Global stall (recalibration sweeps block the PT and the LLC
             tag array, so they are charged against the whole run).
+        gap_sums:
+            float64[cores], ``gaps`` already summed per core (a stream's
+            memoised tallies); ``None`` sums them here.
         """
         cores = self.machine.cores
         if cpis.shape != (cores,):
             raise ConfigError(f"cpis must have shape ({cores},)")
         if not (len(core_ids) == len(gaps) == len(latencies)):
             raise ConfigError("core_ids/gaps/latencies length mismatch")
-        check_positive("stall_cycles + 1", stall_cycles + 1)
+        if not stall_cycles >= 0:
+            raise ConfigError(
+                f"stall_cycles must be non-negative, got {stall_cycles!r}")
 
         compute = np.zeros(cores, dtype=np.float64)
         memory = np.zeros(cores, dtype=np.float64)
         # bincount over core ids gives per-core sums without a Python loop.
-        gap_sums = np.bincount(core_ids, weights=gaps.astype(np.float64), minlength=cores)
-        lat_sums = np.bincount(core_ids, weights=latencies.astype(np.float64), minlength=cores)
+        if gap_sums is None:
+            gap_sums = np.bincount(core_ids, weights=gaps.astype(np.float64),
+                                   minlength=cores)
+        lat_sums = np.bincount(core_ids, weights=latencies, minlength=cores)
         compute[: len(gap_sums)] = gap_sums[:cores] * cpis
         memory[: len(lat_sums)] = lat_sums[:cores]
         total = compute + memory

@@ -19,11 +19,12 @@ frozen into NumPy arrays at the end of the walk.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["EVENT_FILL", "EVENT_EVICT", "OutcomeStream", "OutcomeRecorder"]
+__all__ = ["EVENT_FILL", "EVENT_EVICT", "OutcomeStream", "OutcomeRecorder",
+           "StreamTallies"]
 
 #: LLC event opcodes.
 EVENT_FILL = 1
@@ -31,6 +32,20 @@ EVENT_EVICT = 2
 
 #: hit_level value meaning "served by main memory".
 MEMORY_LEVEL = 0
+
+
+@dataclass(frozen=True)
+class StreamTallies:
+    """Scheme-independent counts of one stream, memoised on it.
+
+    Scalars and O(levels + cores) arrays only: a per-access array kept
+    here would live as long as the (cached) stream itself.
+    """
+
+    hit_counts: np.ndarray  # int64[L+1]  accesses served per level, [0] = memory
+    l1_misses: int
+    true_misses: int
+    gap_sums: np.ndarray    # float64[cores]  per-core compute-gap totals
 
 
 @dataclass(frozen=True)
@@ -48,6 +63,25 @@ class OutcomeStream:
     llc_block: np.ndarray   # uint64[m]
     num_levels: int
     final_llc_blocks: np.ndarray  # uint64[r] LLC residents after the walk
+    _tallies: "StreamTallies | None" = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def tallies(self, cores: int) -> StreamTallies:
+        """The stream's :class:`StreamTallies` on a ``cores``-core machine,
+        computed once."""
+        memo = self._tallies
+        if memo is None or len(memo.gap_sums) != cores:
+            hit_counts = np.array([np.count_nonzero(self.hit_level == level)
+                                   for level in range(self.num_levels + 1)])
+            memo = StreamTallies(
+                hit_counts=hit_counts,
+                l1_misses=self.num_accesses - int(hit_counts[1]),
+                true_misses=int(hit_counts[0]),
+                gap_sums=np.bincount(self.core, weights=self.gap.astype(np.float64),
+                                     minlength=cores),
+            )
+            object.__setattr__(self, "_tallies", memo)
+        return memo
 
     @property
     def num_accesses(self) -> int:

@@ -41,9 +41,11 @@ Structure
     introspectable description of one probe's charges; and
     :class:`ChargingKernel` applies them, with a scalar API for the
     integrated per-access loop and a bulk NumPy API for the two-phase
-    evaluator.  Scalar and bulk share the same precomputed per-level
-    constants, which is what makes the integrated ≡ two-phase equivalence
-    exact rather than approximate.
+    evaluator.  The bulk API codes every L1 miss by route, table consult,
+    MRU-way hit and hit level, and charges the codes from one per-code
+    latency table built from the scalar probe charge.  Scalar and bulk
+    share the same precomputed per-level constants, which is what makes
+    the integrated ≡ two-phase equivalence exact rather than approximate.
 """
 
 from __future__ import annotations
@@ -72,6 +74,10 @@ __all__ = [
     "PROBE_PARALLEL",
     "PROBE_PHASED",
     "PROBE_WAYPRED",
+    "ROUTE_WALK",
+    "ROUTE_DEAD",
+    "ROUTE_SKIP",
+    "ROUTE_SINGLE",
     "AccessCharge",
     "ProbePlan",
     "ChargingKernel",
@@ -104,6 +110,16 @@ COMPONENT_MEM = "MEM"
 PROBE_PARALLEL = "parallel"
 PROBE_PHASED = "phased"
 PROBE_WAYPRED = "waypred"
+
+# Per-access routes below L1 (the ``route`` field of a charging code).
+ROUTE_WALK = 0    # serial walk from L2 in the plan's modes
+ROUTE_DEAD = 1    # serial walk, the LLC probed phased (EHC predicted dead)
+ROUTE_SKIP = 2    # no probe below L1 (predicted miss)
+ROUTE_SINGLE = 1  # offset: route ROUTE_SINGLE + p (p >= 2) is one probe at
+                  # level p, plus the serial walk when p is not the hit level
+
+# Charge passes per level, in ledger order.
+_PASS_WALK, _PASS_DEAD, _PASS_SINGLE = range(3)
 
 
 @dataclass(frozen=True)
@@ -247,23 +263,36 @@ class ChargingKernel:
         """
         if mode is None:
             mode = self.modes[level]
+        self._charge_level(ledger, level, mode, 1, int(hit),
+                           int(hit and rank != 0))
+        return self._delay(level, mode, hit, rank == 0)
+
+    def _delay(self, level: int, mode: str, hit: bool, rank0: bool):
+        """Latency of one probe: access delay on a hit, tag delay on a
+        miss; a phased hit serializes tag+data, a way-predicted hit off
+        the MRU way pays the data delay again."""
+        if not hit:
+            return self.tag_d[level]
         if mode == PROBE_PHASED:
-            ledger.charge(self.names[level], CAT_TAG, self.tag_e[level], 1)
-            if hit:
-                ledger.charge(self.names[level], CAT_DATA, self.data_e[level], 1)
-                return self.tag_d[level] + self.dat_d[level]
-            return self.tag_d[level]
-        if mode == PROBE_WAYPRED:
-            ledger.charge(self.names[level], CAT_TAG, self.tag_e[level], 1)
-            ledger.charge(self.names[level], CAT_DATA, self.way_e[level], 1)
-            if hit:
-                if rank == 0:
-                    return self.par_d[level]
-                ledger.charge(self.names[level], CAT_DATA, self.way_e[level], 1)
-                return self.par_d[level] + self.dat_d[level]
-            return self.tag_d[level]
-        ledger.charge(self.names[level], CAT_PROBE, self.par_e[level], 1)
-        return self.par_d[level] if hit else self.tag_d[level]
+            return self.tag_d[level] + self.dat_d[level]
+        if mode == PROBE_WAYPRED and not rank0:
+            return self.par_d[level] + self.dat_d[level]
+        return self.par_d[level]
+
+    def _charge_level(self, ledger: EnergyLedger, level: int, mode: str,
+                      n_reach: int, n_hits: int, n_slow: int) -> None:
+        """Energy of ``n_reach`` probes at ``level`` of which ``n_hits``
+        hit, ``n_slow`` of those off the MRU way (read by waypred only)."""
+        name = self.names[level]
+        if mode == PROBE_PHASED:
+            ledger.charge(name, CAT_TAG, self.tag_e[level], n_reach)
+            ledger.charge(name, CAT_DATA, self.data_e[level], n_hits)
+        elif mode == PROBE_WAYPRED:
+            ledger.charge(name, CAT_TAG, self.tag_e[level], n_reach)
+            ledger.charge(name, CAT_DATA, self.way_e[level], n_reach)
+            ledger.charge(name, CAT_DATA, self.way_e[level], n_slow)
+        else:
+            ledger.charge(name, CAT_PROBE, self.par_e[level], n_reach)
 
     def describe_probe(self, level: int, hit: bool, rank: int = -1) -> AccessCharge:
         """The :class:`AccessCharge` form of :meth:`charge_probe`."""
@@ -311,63 +340,112 @@ class ChargingKernel:
         return d1 + (lat - d1) / mlp
 
     # --------------------------------------------------------------- bulk
-    def charge_l1_bulk(self, ledger: EnergyLedger, n: int) -> np.ndarray:
-        """Bulk form of :meth:`charge_l1`: the initial latency vector."""
-        ledger.charge(self.names[1], CAT_PROBE, self.par_e[1], n)
-        return np.full(n, float(self.par_d[1]), dtype=np.float64)
+    @property
+    def num_codes(self) -> int:
+        """Size of the access code space (see :meth:`charge_accesses`)."""
+        return (self.num_levels + 2) * 4 * (self.num_levels + 1)
 
-    def charge_lookup_bulk(self, ledger: EnergyLedger, lat: np.ndarray,
-                           consulted: np.ndarray) -> None:
-        """Table lookups for every consulted access (gated predictors
-        answer some misses without touching the table)."""
-        lat[consulted] += self.lookup_delay
-        ledger.charge(
-            COMPONENT_PT, CAT_LOOKUP, self.lookup_energy_nj, int(consulted.sum())
-        )
+    def _probes(self, code: int):
+        """``(level, pass, mode, hit)`` of every probe a coded access
+        makes, in the order its latency adds them: per level the walk
+        (or dead) probe, then the single predicted-level probe."""
+        num_levels = self.num_levels
+        h = code % (num_levels + 1)
+        route = code // (num_levels + 1) // 4
+        single = route - ROUTE_SINGLE if route >= ROUTE_SINGLE + 2 else 0
+        walks = route in (ROUTE_WALK, ROUTE_DEAD) or (single and single != h)
+        for level in range(2, num_levels + 1):
+            if walks and (h == 0 or h >= level):
+                if route == ROUTE_DEAD and level == num_levels:
+                    yield level, _PASS_DEAD, PROBE_PHASED, h == level
+                else:
+                    yield level, _PASS_WALK, self.modes[level], h == level
+            if level == single:
+                yield level, _PASS_SINGLE, self.modes[level], h == level
 
-    def charge_level_bulk(
+    def _code_table(self):
+        """Per-code latency and the (level, pass) probe tally matrix.
+
+        Each latency entry makes exactly the float additions the charge
+        order implies — L1, then the lookup, then each probe — so the
+        gathered per-access latency is bit-identical to adding them one
+        probe at a time.  ``tally[:, k]`` holds code ``k``'s ``(reach,
+        hit, slow hit)`` membership in each (level, pass) group.
+        """
+        groups = [(level, kind) for level in range(2, self.num_levels + 1)
+                  for kind in (_PASS_WALK, _PASS_DEAD, _PASS_SINGLE)]
+        row = {group: 3 * i for i, group in enumerate(groups)}
+        latency = np.empty(self.num_codes, dtype=np.float64)
+        tally = np.zeros((3 * len(groups), self.num_codes), dtype=np.int64)
+        for code in range(self.num_codes):
+            flags = code // (self.num_levels + 1)
+            rank0, consulted = flags % 2 == 1, flags // 2 % 2 == 1
+            lat = float(self.par_d[1])
+            if consulted:
+                lat += self.lookup_delay
+            for level, kind, mode, hit in self._probes(code):
+                lat += self._delay(level, mode, hit, rank0)
+                r = row[(level, kind)]
+                tally[r:r + 3, code] = (1, hit, hit and not rank0)
+            latency[code] = lat
+        return latency, groups, tally
+
+    def charge_accesses(
         self,
         ledger: EnergyLedger,
-        lat: np.ndarray,
-        level: int,
-        hits: np.ndarray,
-        misses: np.ndarray,
-        n_reach: int,
-        n_hits: int,
-        hit_rank: np.ndarray | None = None,
-        mode: str | None = None,
-    ) -> None:
-        """Bulk form of :meth:`charge_probe` for every access reaching
-        ``level``.  ``hit_rank`` (per-access MRU rank) is only read for
-        way-predicted levels; ``mode`` overrides the plan's probe mode
-        for this charge (see :meth:`charge_probe`)."""
-        if mode is None:
-            mode = self.modes[level]
-        name = self.names[level]
-        if mode == PROBE_PHASED:
-            lat[hits] += self.tag_d[level] + self.dat_d[level]
-            lat[misses] += self.tag_d[level]
-            ledger.charge(name, CAT_TAG, self.tag_e[level], n_reach)
-            ledger.charge(name, CAT_DATA, self.data_e[level], n_hits)
-        elif mode == PROBE_WAYPRED:
-            mru_hits = hits & (hit_rank == 0)
-            slow_hits = hits & (hit_rank > 0)
-            lat[mru_hits] += self.par_d[level]
-            lat[slow_hits] += self.par_d[level] + self.dat_d[level]
-            lat[misses] += self.tag_d[level]
-            ledger.charge(name, CAT_TAG, self.tag_e[level], n_reach)
-            ledger.charge(name, CAT_DATA, self.way_e[level], n_reach)
-            ledger.charge(name, CAT_DATA, self.way_e[level], int(slow_hits.sum()))
-        else:
-            lat[hits] += self.par_d[level]
-            lat[misses] += self.tag_d[level]
-            ledger.charge(name, CAT_PROBE, self.par_e[level], n_reach)
+        hit_level: np.ndarray,
+        hit_rank: np.ndarray,
+        route: np.ndarray,
+        consulted: np.ndarray,
+    ) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
+        """Charge L1, table lookups and every level probe of each access.
+
+        Each L1 miss is coded as ``((route * 2 + consulted) * 2 + rank0)
+        * (num_levels + 1) + hit_level`` — everything that decides its
+        probes, in a few dozen distinct values.  ``route`` is a
+        ``ROUTE_*`` value (``ROUTE_SINGLE + p`` for a single probe at
+        level ``p``), ``consulted`` the table-lookup flag and ``rank0``
+        whether the hit was in the MRU way (read for way-predicted levels
+        only).  Latency is one gather from the per-code table; energy is
+        charged from the code counts.  An L1 hit pays the L1 probe alone
+        (tables are consulted on L1 misses only), so it is not coded.
+
+        Returns the per-access latency and the per-level ``(lookups,
+        hits)`` tallies of levels ``2 .. num_levels``.
+        """
+        at = np.flatnonzero(hit_level != 1)
+        code = route[at].astype(
+            np.uint8 if self.num_codes <= 256 else np.uint16, copy=False)
+        code *= 2
+        code += consulted[at]
+        code *= 2
+        if PROBE_WAYPRED in self.plan.modes:
+            code += hit_rank[at] == 0
+        code *= self.num_levels + 1
+        code += hit_level[at].view(np.uint8)
+
+        latency, groups, tally = self._code_table()
+        counts = np.bincount(code, minlength=self.num_codes)
+        ledger.charge(self.names[1], CAT_PROBE, self.par_e[1], len(hit_level))
+        n_consulted = int(counts.reshape(-1, 2, 2, self.num_levels + 1)[:, 1].sum())
+        ledger.charge(COMPONENT_PT, CAT_LOOKUP, self.lookup_energy_nj, n_consulted)
+        tallies: dict[int, tuple[int, int]] = {}
+        sums = (tally @ counts).reshape(-1, 3).tolist()
+        for (level, kind), (n_reach, n_hits, n_slow) in zip(groups, sums):
+            mode = PROBE_PHASED if kind == _PASS_DEAD else self.modes[level]
+            self._charge_level(ledger, level, mode, n_reach, n_hits, n_slow)
+            reach, hits = tallies.get(level, (0, 0))
+            tallies[level] = (reach + n_reach, hits + n_hits)
+
+        lat = np.full(len(hit_level), float(self.par_d[1]))
+        lat[at] = latency[code]
+        return lat, tallies
 
     def charge_memory_bulk(
         self,
         ledger: EnergyLedger,
         lat: np.ndarray,
-        mem_mask: np.ndarray,
+        hit_level: np.ndarray,
         blocks: np.ndarray,
         true_misses: int,
         memory_latency: float = 0.0,
@@ -381,6 +459,7 @@ class ChargingKernel:
         bank/row sequence (each evaluation replays a fresh model).
         """
         if dram is not None:
+            mem_mask = hit_level == 0
             model = resolve_dram_model(dram)
             mem_lat, mem_energy = model.access_stream(blocks[mem_mask])
             lat[mem_mask] += mem_lat
@@ -388,20 +467,20 @@ class ChargingKernel:
             ledger.energy_nj[(COMPONENT_MEM, CAT_ACCESS)] += float(mem_energy.sum())
             return
         if memory_latency > 0.0:
-            lat[mem_mask] += memory_latency
+            lat[hit_level == 0] += memory_latency
         if memory_energy_nj > 0.0:
             ledger.charge(COMPONENT_MEM, CAT_ACCESS, memory_energy_nj, true_misses)
 
-    def charge_fills_bulk(self, ledger: EnergyLedger, h: np.ndarray,
-                          true_misses: int, weight: float) -> None:
+    def charge_fills_bulk(self, ledger: EnergyLedger, hit_counts: np.ndarray,
+                          weight: float) -> None:
         """Optional fill accounting (identical across schemes): every
-        level is filled by memory fetches, plus by hits below it."""
+        level is filled by memory fetches, plus by hits below it.
+        ``hit_counts[j]`` counts the accesses level ``j`` served (0 =
+        memory)."""
         if weight <= 0.0:
             return
         for level in range(1, self.num_levels + 1):
-            fills = true_misses
-            if level < self.num_levels:
-                fills += int((h > level).sum())
+            fills = int(hit_counts[0]) + int(hit_counts[level + 1:].sum())
             ledger.charge(
                 self.names[level], CAT_FILL, weight * self.data_e[level], fills
             )
@@ -418,11 +497,11 @@ class ChargingKernel:
 
     # ------------------------------------------------------ timing/static
     def run_timing(self, core_ids, gaps, latencies, cpis,
-                   stall_cycles: float) -> TimingResult:
+                   stall_cycles: float, gap_sums=None) -> TimingResult:
         """Fold per-access latencies into per-core cycles."""
         return TimingModel(self.machine).run(
             core_ids=core_ids, gaps=gaps, latencies=latencies, cpis=cpis,
-            stall_cycles=stall_cycles,
+            stall_cycles=stall_cycles, gap_sums=gap_sums,
         )
 
     def static_energy_nj(self, exec_cycles: float, include_pt: bool) -> float:

@@ -17,7 +17,7 @@ stale data in real hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,7 +28,13 @@ from repro.energy.timing import TimingResult
 from repro.hierarchy.events import OutcomeStream
 from repro.predictors.base import PresencePredictor, SchemeSpec
 from repro.sim import replay_reference, vector_replay
-from repro.sim.charging import PROBE_PHASED, ChargingKernel
+from repro.sim.charging import (
+    ROUTE_DEAD,
+    ROUTE_SINGLE,
+    ROUTE_SKIP,
+    ROUTE_WALK,
+    ChargingKernel,
+)
 from repro.util.validation import ReproError
 from repro.workloads.trace import Workload
 
@@ -102,19 +108,15 @@ def _per_access_pcs(stream: OutcomeStream, workload: Workload) -> np.ndarray:
 
     The outcome stream deliberately carries no PCs (the content walk is
     PC-blind); the level predictor's PC^block index reconstructs them
-    from the workload traces through the same memoized merge order both
-    simulation paths share.
+    from the workload traces.  The stream's ``core`` column already is
+    the merged order, and the merge keeps each core's program order, so
+    core ``c``'s accesses take its trace's PCs front to back — no need to
+    recompute (or memoise) the workload's merge order.
     """
-    from repro.sim.content import merge_order
-
-    merged_core, merged_idx = merge_order(workload)
-    n = stream.num_accesses
-    merged_core = merged_core[:n]
-    merged_idx = merged_idx[:n]
-    pcs = np.empty(n, dtype=np.uint64)
+    pcs = np.empty(stream.num_accesses, dtype=np.uint64)
     for core, trace in enumerate(workload.traces):
-        sel = merged_core == core
-        pcs[sel] = trace.pc[merged_idx[sel]]
+        at = np.flatnonzero(stream.core == core)
+        pcs[at] = trace.pc[:len(at)]
     return pcs
 
 
@@ -307,6 +309,20 @@ class _Tail(NamedTuple):
     dram: object
 
 
+class _Routes(NamedTuple):
+    """One scheme's per-access decisions, ready for the charging kernel
+    (which reads them at L1 misses only)."""
+
+    route: np.ndarray      # ROUTE_* per access (repro.sim.charging)
+    consulted: np.ndarray  # bool per access: pays a table lookup
+    predictor: object = None
+    stall: float = 0.0
+    skips: int = 0
+    false_positives: int = 0
+    #: Checked-mode invariant over the finished result, or None.
+    check: "Callable[[SchemeResult], None] | None" = None
+
+
 def _settle(
     kernel: ChargingKernel,
     ledger: EnergyLedger,
@@ -316,34 +332,30 @@ def _settle(
     scheme: SchemeSpec,
     workload: Workload,
     tail: _Tail,
-    predictor,
-    stall: float,
+    routes: _Routes,
     level_tallies: dict[int, tuple[int, int]],
-    skips: int = 0,
-    false_positives: int = 0,
 ) -> SchemeResult:
     """Charge what every scheme pays after its level probes — memory,
     fills, MLP, predictor maintenance, timing, static energy — and
     assemble the :class:`SchemeResult`."""
-    h = stream.hit_level
     n = stream.num_accesses
-    l1_misses = int((h != 1).sum())
-    true_misses = int((h == 0).sum())
+    tallies = stream.tallies(machine.cores)
 
     # ---- main memory (the paper's free data store unless configured) -----
     kernel.charge_memory_bulk(
-        ledger, lat, h == 0, stream.block, true_misses,
+        ledger, lat, stream.hit_level, stream.block, tallies.true_misses,
         memory_latency=tail.memory_latency,
         memory_energy_nj=tail.memory_energy_nj, dram=tail.dram,
     )
 
     # ---- fills (optional accounting, identical across schemes) -----------
-    kernel.charge_fills_bulk(ledger, h, true_misses, tail.fill_energy_weight)
+    kernel.charge_fills_bulk(ledger, tallies.hit_counts, tail.fill_energy_weight)
 
     # ---- memory-level parallelism (1.0 = the paper's serialized model) ---
     lat = kernel.mlp_adjust(lat, tail.mlp)
 
     # ---- predictor maintenance -------------------------------------------
+    predictor = routes.predictor
     predictor_stats: dict = {}
     if predictor is not None:
         kernel.charge_predictor_maintenance(
@@ -354,11 +366,12 @@ def _settle(
 
     # ---- timing ------------------------------------------------------------
     timing = kernel.run_timing(
-        core_ids=stream.core.astype(np.int64),
+        core_ids=stream.core,
         gaps=stream.gap,
         latencies=lat,
         cpis=workload.cpis,
-        stall_cycles=stall,
+        stall_cycles=routes.stall,
+        gap_sums=tallies.gap_sums,
     )
     static_nj = kernel.static_energy_nj(
         timing.exec_cycles, include_pt=scheme.consults_table
@@ -366,7 +379,7 @@ def _settle(
 
     # ---- per-level accounting under this scheme ---------------------------
     level_lookups = {1: n}
-    level_hits = {1: n - l1_misses}
+    level_hits = {1: n - tallies.l1_misses}
     for level, (n_reach, n_hits) in level_tallies.items():
         level_lookups[level] = n_reach
         level_hits[level] = n_hits
@@ -385,11 +398,11 @@ def _settle(
         hit_rates=hit_rates,
         level_lookups=level_lookups,
         level_hits=level_hits,
-        l1_misses=l1_misses,
-        skips=skips,
-        false_positives=false_positives,
-        true_misses=true_misses,
-        recal_stall_cycles=stall,
+        l1_misses=tallies.l1_misses,
+        skips=routes.skips,
+        false_positives=routes.false_positives,
+        true_misses=tallies.true_misses,
+        recal_stall_cycles=routes.stall,
         predictor_stats=predictor_stats,
     )
 
@@ -420,28 +433,57 @@ def evaluate_scheme(
     ``REPRO_CHECKED`` environment) also replays the reference loop and
     raises if the two diverge in any observable — the equivalence oracle
     for the kernels.
+
+    Every scheme reduces to per-access routes (walk, skip, single probe,
+    dead LLC) plus table-consult flags; the charging kernel turns those
+    into latency and energy in one table-driven pass.
     """
     if checked is None:
         checked = checking.enabled(None)
     tail = _Tail(fill_energy_weight, memory_latency, memory_energy_nj, mlp, dram)
-    # The zoo schemes walk (or skip) levels in patterns the binary
-    # predicted-present flow below cannot express; they get dedicated
-    # accounting paths that consume the same kernel and the same frozen
-    # stream, so the existing flow stays byte-for-byte untouched.
     if scheme.kind in ("levelpred", "oracle_level"):
-        return _evaluate_levelpred(stream, machine, scheme, workload, tail,
-                                   checked)
-    if scheme.kind == "ehc":
-        return _evaluate_ehc(stream, machine, scheme, workload, tail, checked)
+        decide = _route_levelpred
+    elif scheme.kind == "ehc":
+        decide = _route_ehc
+    else:
+        decide = _route_presence
+    routes = decide(stream, machine, scheme, workload, checked)
 
     kernel = ChargingKernel.for_scheme(machine, scheme)
-    ledger = EnergyLedger()
+    # The accounting stages below are pure NumPy over frozen arrays; the
+    # span makes their share of the wall time visible in `repro stats`.
+    with telemetry.span("energy_accounting", scheme=scheme.name,
+                        workload=workload.name):
+        ledger = EnergyLedger()
+        lat, level_tallies = kernel.charge_accesses(
+            ledger, stream.hit_level, stream.hit_rank, routes.route,
+            routes.consulted,
+        )
+        result = _settle(kernel, ledger, lat, stream, machine, scheme,
+                         workload, tail, routes, level_tallies)
+    if checked and routes.check is not None:
+        routes.check(result)
+    return result
+
+
+def _no_false_negatives(scheme: SchemeSpec, skipped_hits: np.ndarray) -> None:
+    """Raise if any access skipped as a predicted miss hit a cache."""
+    fn = int(np.count_nonzero(skipped_hits))
+    if fn:
+        raise ReproError(
+            f"scheme {scheme.name!r} produced {fn} false negatives — "
+            "it would serve stale data in hardware"
+        )
+
+
+def _route_presence(stream, machine, scheme, workload, checked) -> _Routes:
+    """Base, oracle, phased, way-prediction and presence predictors.
+
+    A predicted LLC miss skips every level below L1 (for schemes that
+    skip); everything else walks serially from L2.
+    """
     h = stream.hit_level
     n = stream.num_accesses
-    num_levels = stream.num_levels
-    miss_mask = h != 1
-
-    # ---- prediction ------------------------------------------------------
     predictor = None
     stall = 0.0
     consulted = np.zeros(n, dtype=bool)
@@ -450,62 +492,24 @@ def evaluate_scheme(
         predicted, consulted, stall = _replay(
             stream, machine, scheme, workload, predictor, checked
         )
-        fn = int((~predicted & (h >= 2)).sum())
-        if fn:
-            raise ReproError(
-                f"scheme {scheme.name!r} produced {fn} false negatives — "
-                "it would serve stale data in hardware"
-            )
+        absent = ~predicted
+        _no_false_negatives(scheme, absent & (h >= 2))
     elif scheme.kind == "oracle":
-        predicted = h != 0
+        absent = h == 0
     else:
-        predicted = np.ones(n, dtype=bool)
+        absent = np.zeros(n, dtype=bool)
 
-    skips = int((~predicted & (h == 0) & miss_mask).sum())
-    false_positives = int((predicted & (h == 0)).sum()) if scheme.skips_on_predicted_miss else 0
-
-    # The accounting stages below are pure NumPy over frozen arrays; the
-    # span makes their share of the wall time visible in `repro stats`.
-    with telemetry.span("energy_accounting", scheme=scheme.name,
-                        workload=workload.name):
-        # ---- latency + probe energy ------------------------------------------
-        lat = kernel.charge_l1_bulk(ledger, n)
-
-        if scheme.consults_table:
-            # Gated predictors answer some misses without a table consult;
-            # only real consults pay the lookup delay and energy.
-            kernel.charge_lookup_bulk(ledger, lat, consulted)
-
-        # Per-level reach/hit masks, computed once here; the kernel turns
-        # them into latency and per-category energy charges.
-        level_tallies: dict[int, tuple[int, int]] = {}
-        for level in range(2, num_levels + 1):
-            reach = (h == 0) | (h >= level)
-            if scheme.skips_on_predicted_miss:
-                reach = reach & predicted
-            hits = reach & (h == level)
-            misses = reach & (h != level)
-            n_reach = int(reach.sum())
-            n_hits = int(hits.sum())
-            level_tallies[level] = (n_reach, n_hits)
-            kernel.charge_level_bulk(
-                ledger, lat, level, hits, misses, n_reach, n_hits,
-                hit_rank=stream.hit_rank,
-            )
-
-        return _settle(kernel, ledger, lat, stream, machine, scheme, workload,
-                       tail, predictor, stall, level_tallies, skips=skips,
-                       false_positives=false_positives)
+    skips = int(np.count_nonzero(absent & (h == 0)))
+    false_positives = 0
+    if scheme.skips_on_predicted_miss:
+        route = np.multiply(absent, ROUTE_SKIP, dtype=np.uint8)
+        false_positives = stream.tallies(machine.cores).true_misses - skips
+    else:
+        route = np.full(n, ROUTE_WALK, dtype=np.uint8)
+    return _Routes(route, consulted, predictor, stall, skips, false_positives)
 
 
-def _evaluate_levelpred(
-    stream: OutcomeStream,
-    machine: MachineConfig,
-    scheme: SchemeSpec,
-    workload: Workload,
-    tail: _Tail,
-    checked: bool,
-) -> SchemeResult:
+def _route_levelpred(stream, machine, scheme, workload, checked) -> _Routes:
     """Level prediction (``levelpred``) and its oracle (``oracle_level``).
 
     Access flow per L1 miss: a confident presence miss skips every level
@@ -514,104 +518,56 @@ def _evaluate_levelpred(
     recovery walk from L2; no confident prediction walks serially.  The
     oracle variant probes exactly the true hit level with no table.
     """
-    kernel = ChargingKernel.for_scheme(machine, scheme)
-    ledger = EnergyLedger()
     h = stream.hit_level
-    n = stream.num_accesses
-    num_levels = stream.num_levels
     miss_mask = h != 1
-
-    predictor = None
-    stall = 0.0
+    true_misses = stream.tallies(machine.cores).true_misses
     if scheme.kind == "levelpred":
         predictor = scheme.build_predictor(machine)
         pcs = _per_access_pcs(stream, workload)
         pred_level, confident, stall = _replay(
             stream, machine, scheme, workload, predictor, checked, pcs
         )
-        skip_mask = miss_mask & confident & (pred_level == 0)
-        fn = int((skip_mask & (h >= 2)).sum())
-        if fn:
-            raise ReproError(
-                f"scheme {scheme.name!r} produced {fn} false negatives — "
-                "it would serve stale data in hardware"
-            )
-        single_mask = miss_mask & confident & (pred_level >= 2)
-        unconfident_mask = miss_mask & ~confident
-        false_positives = int((miss_mask & ~skip_mask & (h == 0)).sum())
+        confident = confident & miss_mask
+        skip_mask = confident & (pred_level == 0)
+        _no_false_negatives(scheme, skip_mask & (h >= 2))
+        skips = int(np.count_nonzero(skip_mask))
+        false_positives = true_misses - int(np.count_nonzero(skip_mask & (h == 0)))
     else:  # oracle_level: perfect level knowledge, no hardware
-        pred_level = h.astype(np.int64)
-        skip_mask = miss_mask & (h == 0)
-        single_mask = miss_mask & (h >= 2)
-        unconfident_mask = np.zeros(n, dtype=bool)
-        false_positives = 0
+        predictor, stall = None, 0.0
+        pred_level, confident = h, miss_mask
+        skips, false_positives = true_misses, 0
 
-    mispredict_mask = single_mask & (h != pred_level)
-    correct_mask = single_mask & ~mispredict_mask
-    walk_mask = unconfident_mask | mispredict_mask
-    skips = int(skip_mask.sum())
+    # A confident prediction of level p >= 2 is a single probe there (the
+    # kernel adds the recovery walk when p is not the hit level); of
+    # memory, a skip.
+    route = pred_level.astype(np.uint8)
+    route += ROUTE_SINGLE
+    np.maximum(route, ROUTE_SKIP, out=route)
+    route *= confident  # unconfident: ROUTE_WALK
+    consulted = miss_mask if scheme.consults_table else np.zeros_like(miss_mask)
 
-    with telemetry.span("energy_accounting", scheme=scheme.name,
-                        workload=workload.name):
-        lat = kernel.charge_l1_bulk(ledger, n)
-        if scheme.consults_table:
-            kernel.charge_lookup_bulk(ledger, lat, miss_mask)
-
-        # Two charge passes per level: the serial-walk probes (unconfident
-        # walks + mispredict recovery walks) and the single predicted-level
-        # probes.  A mispredicting access can legitimately probe the same
-        # level twice — once as its confident single, once again inside
-        # its recovery walk — which is why the passes stay separate.
-        level_tallies: dict[int, tuple[int, int]] = {}
-        for level in range(2, num_levels + 1):
-            walk_reach = walk_mask & ((h == 0) | (h >= level))
-            walk_hits = walk_reach & (h == level)
-            walk_misses = walk_reach & (h != level)
-            singles_here = single_mask & (pred_level == level)
-            single_hits = singles_here & correct_mask
-            single_misses = singles_here & mispredict_mask
-            n_walk = int(walk_reach.sum())
-            n_walk_hits = int(walk_hits.sum())
-            n_singles = int(singles_here.sum())
-            n_single_hits = int(single_hits.sum())
-            kernel.charge_level_bulk(
-                ledger, lat, level, walk_hits, walk_misses, n_walk,
-                n_walk_hits, hit_rank=stream.hit_rank,
-            )
-            kernel.charge_level_bulk(
-                ledger, lat, level, single_hits, single_misses, n_singles,
-                n_single_hits, hit_rank=stream.hit_rank,
-            )
-            level_tallies[level] = (n_walk + n_singles,
-                                    n_walk_hits + n_single_hits)
-
-        result = _settle(kernel, ledger, lat, stream, machine, scheme,
-                         workload, tail, predictor, stall, level_tallies,
-                         skips=skips, false_positives=false_positives)
-
-    if checked and scheme.kind == "levelpred":
+    def check(result: SchemeResult) -> None:
+        single = confident & (pred_level >= 2)
+        mispredict = single & (h != pred_level)
+        unconfident = miss_mask & ~confident
+        walk = unconfident | mispredict
         checking.check_levelpred_conservation(
             ctx=checking.evaluation_context(machine.name, workload.name,
                                             scheme.name),
             l1_misses=result.l1_misses,
             skips=skips,
-            correct_singles=int(correct_mask.sum()),
-            mispredicts=int(mispredict_mask.sum()),
-            unconfident=int(unconfident_mask.sum()),
-            walks=int(walk_mask.sum()),
-            walk_reach_l2=int((walk_mask & ((h == 0) | (h >= 2))).sum()),
+            correct_singles=int(np.count_nonzero(single & ~mispredict)),
+            mispredicts=int(np.count_nonzero(mispredict)),
+            unconfident=int(np.count_nonzero(unconfident)),
+            walks=int(np.count_nonzero(walk)),
+            walk_reach_l2=int(np.count_nonzero(walk & ((h == 0) | (h >= 2)))),
         )
-    return result
+
+    return _Routes(route, consulted, predictor, stall, skips, false_positives,
+                   check if scheme.kind == "levelpred" else None)
 
 
-def _evaluate_ehc(
-    stream: OutcomeStream,
-    machine: MachineConfig,
-    scheme: SchemeSpec,
-    workload: Workload,
-    tail: _Tail,
-    checked: bool,
-) -> SchemeResult:
+def _route_ehc(stream, machine, scheme, workload, checked) -> _Routes:
     """Expected-hit-count evaluation: full walk, but LLC probes for
     predicted-dead blocks degrade to phased (tag-then-data) mode.
 
@@ -619,58 +575,15 @@ def _evaluate_ehc(
     there is no false-negative hazard — the prediction only chooses how
     the LLC probe is issued.
     """
-    kernel = ChargingKernel.for_scheme(machine, scheme)
-    ledger = EnergyLedger()
-    h = stream.hit_level
-    n = stream.num_accesses
-    num_levels = stream.num_levels
-    miss_mask = h != 1
-
     predictor = scheme.build_predictor(machine)
     dead, stall = _replay(stream, machine, scheme, workload, predictor, checked)
 
-    with telemetry.span("energy_accounting", scheme=scheme.name,
-                        workload=workload.name):
-        lat = kernel.charge_l1_bulk(ledger, n)
-        kernel.charge_lookup_bulk(ledger, lat, miss_mask)
-
-        level_tallies: dict[int, tuple[int, int]] = {}
-        for level in range(2, num_levels + 1):
-            reach = (h == 0) | (h >= level)
-            hits = reach & (h == level)
-            misses = reach & (h != level)
-            n_reach = int(reach.sum())
-            n_hits = int(hits.sum())
-            level_tallies[level] = (n_reach, n_hits)
-            if level == num_levels:
-                # Predicted-dead blocks fire the LLC in phased mode; the
-                # rest keep the plan's discipline.  Two charge passes,
-                # disjoint masks.
-                live = reach & ~dead
-                gated = reach & dead
-                kernel.charge_level_bulk(
-                    ledger, lat, level, hits & ~dead, misses & ~dead,
-                    int(live.sum()), int((hits & ~dead).sum()),
-                    hit_rank=stream.hit_rank,
-                )
-                kernel.charge_level_bulk(
-                    ledger, lat, level, hits & dead, misses & dead,
-                    int(gated.sum()), int((hits & dead).sum()),
-                    hit_rank=stream.hit_rank, mode=PROBE_PHASED,
-                )
-            else:
-                kernel.charge_level_bulk(
-                    ledger, lat, level, hits, misses, n_reach, n_hits,
-                    hit_rank=stream.hit_rank,
-                )
-
-        result = _settle(kernel, ledger, lat, stream, machine, scheme,
-                         workload, tail, predictor, stall, level_tallies)
-
-    if checked:
+    def check(result: SchemeResult) -> None:
         checking.check_ehc_counters(
             predictor,
             checking.evaluation_context(machine.name, workload.name,
                                         scheme.name),
         )
-    return result
+
+    route = np.multiply(dead, ROUTE_DEAD, dtype=np.uint8)
+    return _Routes(route, stream.hit_level != 1, predictor, stall, check=check)

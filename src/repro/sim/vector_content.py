@@ -18,8 +18,9 @@ set indexing works:
   identical events.
 
 * **Vectorized intra-set conflict resolution.**  Sort each chunk by
-  partition (stable, so per-partition order survives) and consider an
-  access whose *previous access by the same core in the same partition*
+  ``(partition, core)`` pair (stable, so per-pair order survives) and
+  consider an access whose *previous access by the same core in the same
+  partition*
   touched the same block.  That predecessor left the block at rank 0 of
   the core's L1 set, the core itself issued nothing in the partition
   since, and no access *outside* the partition can reach that set — so
@@ -28,7 +29,7 @@ set indexing works:
   the shared LLC, whose inclusion back-invalidation kills the L1 copy.
   The candidates (the bulk of any workload with locality — spatial runs,
   hot sets, duplicated-trace round-robin interleaving) are resolved with
-  two vectorized sorts per chunk and never enter the Python loop; a
+  one vectorized sort per chunk and never enter the Python loop; a
   per-``(partition, core)`` carry extends the test across chunk
   boundaries.
 
@@ -42,15 +43,17 @@ set indexing works:
   residual replay, where it replays as the memory miss it really is —
   refilling the block and re-validating the candidates behind it.  If
   the pair has no later access in the chunk, the cross-chunk carry is
-  invalidated instead.  Demotion is rare (a few per thousand accesses)
-  but load-bearing: it is what makes the optimistic skip *exact* rather
-  than approximate.
+  invalidated instead.  Demotion is rare (65 over the eleven 640k-access
+  seed-1 fig6 walks) but load-bearing: it is what makes the optimistic
+  skip *exact* rather than approximate.
 
-LLC events are tagged with the originating global access index and merged
-back into chronological order with one stable sort, so the resulting
-:class:`OutcomeStream` is *byte-identical* to the sequential walk's —
-``tests/test_vector_content.py`` fuzzes this over random geometries,
-families and chunk sizes, and checked mode asserts it on every run.
+The residual replay runs in chronological order — partition independence
+allows any order that keeps per-partition order — so LLC events are
+appended exactly as the sequential recorder appends them, and the
+resulting :class:`OutcomeStream` is *byte-identical* to the sequential
+walk's — ``tests/test_vector_content.py`` fuzzes this over random
+geometries, families and chunk sizes, and checked mode asserts it on
+every run.
 
 ``REPRO_NO_VECTOR_WALK=1`` forces the sequential path everywhere
 (mirroring ``REPRO_NO_VECTOR_REPLAY``); :func:`eligible` gates the other
@@ -244,27 +247,21 @@ def walk_vectorized(
         write_parts.append(chunk.write)
         gap_parts.append(chunk.gap)
         m = chunk.num_refs
+        blocks = chunk.block
 
-        # ---- sort by partition (replay order: per-partition chronology)
-        part = (chunk.block & np_pmask).astype(np.int64)
-        order = np.argsort(part, kind="stable")
-        sp = part[order]
-        sc = chunk.core[order]
-        sb = chunk.block[order]
-        sidx = order + chunk.start     # global access index per position
-
-        # ---- candidate detection in (partition, core) grouping
-        key_s = sp * ncores + sc
-        order2 = np.argsort(key_s, kind="stable")
-        k2 = key_s[order2]
-        b2 = sb[order2]
+        # ---- candidate detection in (partition, core) grouping; the
+        # stable sort keeps each pair's accesses in chronological order
+        pair = (blocks & np_pmask).astype(np.int64) * ncores + chunk.core
+        order2 = np.argsort(pair, kind="stable")
+        k2 = pair[order2]
+        b2 = blocks[order2]
         same_group = np.empty(m, dtype=bool)
         same_group[0] = False
         np.equal(k2[1:], k2[:-1], out=same_group[1:])
         cand2 = np.zeros(m, dtype=bool)
         cand2[1:] = same_group[1:] & (b2[1:] == b2[:-1])
-        # Position (partition order) of each element's predecessor within
-        # its group; -1 when the predecessor lies in an earlier chunk.
+        # Chunk position of each element's predecessor within its group;
+        # -1 when the predecessor lies in an earlier chunk.
         pred2 = np.full(m, -1, dtype=np.int64)
         if m > 1:
             pred2[1:] = np.where(same_group[1:], order2[:-1], -1)
@@ -285,37 +282,35 @@ def walk_vectorized(
         # ---- pre-write candidate outcomes (L1 MRU hits), vectorized
         cand = np.zeros(m, dtype=bool)
         cand[order2] = cand2
-        sk = sidx[cand]
+        sk = np.flatnonzero(cand) + chunk.start
         hit_level[sk] = 1
         hit_rank[sk] = 0
         skipped += len(sk)
 
-        # ---- per-group candidate tables for eviction-hazard demotion
-        ci2 = np.nonzero(cand2)[0]
-        cand_groups: dict = {}
-        if len(ci2):
-            ck = k2[ci2]
-            cpos = order2[ci2].tolist()
-            cblk = b2[ci2].tolist()
-            cprd = pred2[ci2].tolist()
-            uk, starts = np.unique(ck, return_index=True)
-            bounds = np.append(starts, len(ck)).tolist()
-            uk = uk.tolist()
-            for gi, g in enumerate(uk):
-                s0, s1 = bounds[gi], bounds[gi + 1]
-                cand_groups[g] = [cpos[s0:s1], cblk[s0:s1], cprd[s0:s1], 0]
+        # ---- candidates by pair, for eviction-hazard demotion: a pair's
+        # slice is located (searchsorted) on its first hazard only, then
+        # its pointer to the next undecided candidate lives in `cursor`
+        ci2 = np.flatnonzero(cand2)
+        c_key = k2[ci2]
+        c_pos = order2[ci2]
+        c_blk = b2[ci2]
+        c_prd = pred2[ci2]
+        cursor: dict = {}
 
-        # ---- residual replay, merged in order with demoted candidates
-        res = np.nonzero(~cand)[0]
+        # ---- residual replay in chronological order, merged with
+        # demoted candidates (partition independence: any order keeping
+        # per-partition order is exact, and this one emits LLC events in
+        # the sequential recorder's order)
+        res = np.flatnonzero(~cand)
         r_pos = res.tolist()
-        r_core = sc[res].tolist()
-        r_block = sb[res].tolist()
-        r_idx = sidx[res].tolist()
-        # key_s IS the flat (partition, core) index — reuse it as the hot
-        # slot; precompute the L1 set key and owner bit while vectorized.
-        r_hot = key_s[res].tolist()
-        r_l1k = (sb[res] & np.uint64(l1_mask)).tolist()
-        r_gidx = res.__len__() and sidx[res]
+        r_core = chunk.core[res].tolist()
+        r_block = blocks[res].tolist()
+        r_gidx = res + chunk.start
+        r_idx = r_gidx.tolist()
+        # `pair` IS the flat (partition, core) index — reuse it as the
+        # hot slot; precompute the L1 set key while vectorized.
+        r_hot = pair[res].tolist()
+        r_l1k = (blocks[res] & np.uint64(l1_mask)).tolist()
         hl: list[int] = []
         hr: list[int] = []
         hl_app, hr_app = hl.append, hr.append
@@ -326,12 +321,12 @@ def walk_vectorized(
         while i < num_res or pending:
             if pending and (i >= num_res or pending[0] < r_pos[i]):
                 q = heappop(pending)
-                c = int(sc[q])
-                b = int(sb[q])
-                i0 = int(sidx[q])
-                hot[int(key_s[q])] = b
+                c = int(chunk.core[q])
+                b = int(blocks[q])
+                i0 = q + chunk.start
+                hot[int(pair[q])] = b
                 l1key = b & l1_mask
-                demote_slot = q
+                demoted = True
             else:
                 q = r_pos[i]
                 c = r_core[i]
@@ -340,7 +335,7 @@ def walk_vectorized(
                 hot[r_hot[i]] = b
                 l1key = r_l1k[i]
                 i += 1
-                demote_slot = -1
+                demoted = False
 
             lst = l1_of_core[c].get(l1key)
             hitlev = -1
@@ -408,20 +403,20 @@ def walk_vectorized(
                             fl = base + c2
                             if hot[fl] != vb:
                                 continue
-                            g = cand_groups.get(fl)
-                            did_demote = False
-                            if g is not None:
-                                gpos, gblk, gprd, ptr = g
-                                glen = len(gpos)
-                                while ptr < glen and gpos[ptr] <= q:
-                                    ptr += 1
-                                if (ptr < glen and gblk[ptr] == vb
-                                        and gprd[ptr] < q):
-                                    heappush(pending, gpos[ptr])
-                                    demoted_total += 1
-                                    ptr += 1
-                                    did_demote = True
-                                g[3] = ptr
+                            g = cursor.get(fl)
+                            if g is None:
+                                g = cursor[fl] = [
+                                    int(c_key.searchsorted(fl)),
+                                    int(c_key.searchsorted(fl, "right"))]
+                            ptr, end = g
+                            ptr += int(c_pos[ptr:end].searchsorted(q, "right"))
+                            did_demote = (ptr < end and c_blk[ptr] == vb
+                                          and c_prd[ptr] < q)
+                            if did_demote:
+                                heappush(pending, int(c_pos[ptr]))
+                                demoted_total += 1
+                                ptr += 1
+                            g[0] = ptr
                             if not did_demote and last_pos[fl] < q:
                                 carry_valid[fl] = False
                     start = 0
@@ -447,25 +442,18 @@ def walk_vectorized(
                                 l4.remove(vb)
                             else:
                                 break  # inclusive: absent => absent above
-            if demote_slot < 0:
+            if not demoted:
                 hl_app(hitlev)
                 hr_app(rank)
             else:
-                gi0 = sidx[demote_slot]
-                hit_level[gi0] = hitlev
-                hit_rank[gi0] = rank
+                hit_level[i0] = hitlev
+                hit_rank[i0] = rank
                 skipped -= 1
 
         if num_res:
             hit_level[r_gidx] = np.asarray(hl, dtype=np.int8)
             hit_rank[r_gidx] = np.asarray(hr, dtype=np.int8)
 
-    # Merge per-partition LLC events back into chronological order.  The
-    # `when` keys are global access indices; one access emits at most one
-    # fill+evict pair, appended adjacently, so a stable sort restores
-    # exactly the sequential recorder's order.
-    when_arr = np.asarray(ev_when, dtype=np.int64)
-    ev_order = np.argsort(when_arr, kind="stable")
     final_llc: list[int] = []
     for lst in llc_sets.values():
         final_llc.extend(lst)
@@ -488,9 +476,9 @@ def walk_vectorized(
         gap=gap_all.astype(np.uint32),
         hit_level=hit_level,
         hit_rank=hit_rank,
-        llc_when=when_arr[ev_order],
-        llc_op=np.asarray(ev_op, dtype=np.int8)[ev_order],
-        llc_block=np.asarray(ev_block, dtype=np.uint64)[ev_order],
+        llc_when=np.asarray(ev_when, dtype=np.int64),
+        llc_op=np.asarray(ev_op, dtype=np.int8),
+        llc_block=np.asarray(ev_block, dtype=np.uint64),
         num_levels=num_levels,
         final_llc_blocks=np.asarray(sorted(final_llc), dtype=np.uint64),
     )

@@ -152,3 +152,13 @@ def test_timing_validates_shapes():
         tm.run(np.zeros(3, dtype=int), np.zeros(3), np.zeros(2), np.array([1.0, 1.0]))
     with pytest.raises(ConfigError):
         tm.run(np.zeros(3, dtype=int), np.zeros(3), np.zeros(3), np.array([1.0]))
+
+
+def test_timing_rejects_negative_stall():
+    m = get_machine("tiny")
+    tm = TimingModel(m)
+    ids = np.zeros(2, dtype=np.int64)
+    cpis = np.array([1.0, 1.0])
+    with pytest.raises(ConfigError, match="stall_cycles must be non-negative"):
+        tm.run(ids, np.ones(2), np.ones(2), cpis, stall_cycles=-0.5)
+    assert tm.run(ids, np.ones(2), np.ones(2), cpis, stall_cycles=0.0).stall_cycles == 0.0

@@ -179,44 +179,52 @@ class TestDifferentialFuzz:
 
 
 # ====================================================== demotion repair
-def demotion_workload(machine: MachineConfig) -> Workload:
+def demotion_workload(machine: MachineConfig, rounds: int = 1,
+                      victim_gaps: "tuple | None" = None) -> Workload:
     """Adversarial pattern that forces the eviction-hazard demotion.
 
-    Core 0 touches block A twice, far apart in virtual time; core 1
-    floods ``llc_assoc + 2`` distinct blocks mapping to A's LLC set in
-    between, evicting A from the LLC (inclusion back-invalidates core
-    0's L1 copy).  The candidate rule would mark core 0's second access
-    an L1 MRU hit; the demotion repair must replay it as the memory miss
-    it really is.
+    Core 0 touches block A ``rounds + 1`` times, far apart in virtual
+    time; before each re-touch core 1 floods ``llc_assoc + 2`` fresh
+    blocks mapping to A's LLC set, evicting A from the LLC (inclusion
+    back-invalidates core 0's L1 copy).  The candidate rule would mark
+    each re-touch an L1 MRU hit; the demotion repair must replay it as
+    the memory miss it really is.  ``victim_gaps`` overrides core 0's
+    compute gaps (and with them its interleaving with the floods).
     """
     llc = machine.llc
     set_stride = (llc.num_sets) << 6  # byte stride between same-set blocks
     a = np.uint64(64 * 7)  # block 7: same partition on every level
     flood = llc.assoc + 2
+    if victim_gaps is None:
+        victim_gaps = (0,) + (100000,) * rounds
     t0 = Trace(
         name="victim",
-        pc=np.zeros(2, dtype=np.uint64),
-        addr=np.array([a, a], dtype=np.uint64),
-        write=np.zeros(2, dtype=bool),
-        gap=np.array([0, 100000], dtype=np.uint32),
+        pc=np.zeros(len(victim_gaps), dtype=np.uint64),
+        addr=np.full(len(victim_gaps), a, dtype=np.uint64),
+        write=np.zeros(len(victim_gaps), dtype=bool),
+        gap=np.array(victim_gaps, dtype=np.uint32),
     )
-    addrs = a + np.arange(1, flood + 1, dtype=np.uint64) * np.uint64(set_stride)
+    addrs = a + np.arange(1, rounds * flood + 1, dtype=np.uint64) * np.uint64(
+        set_stride)
+    # Round r's flood starts once the victim's r-th re-touch is done.
+    flood_gaps = np.ones(rounds * flood, dtype=np.uint32)
+    flood_gaps[flood::flood] = 100000
     t1 = Trace(
         name="flood",
-        pc=np.zeros(flood, dtype=np.uint64),
+        pc=np.zeros(len(addrs), dtype=np.uint64),
         addr=addrs,
-        write=np.zeros(flood, dtype=bool),
-        gap=np.ones(flood, dtype=np.uint32),
+        write=np.zeros(len(addrs), dtype=bool),
+        gap=flood_gaps,
     )
     traces = [t0, t1]
     for core in range(2, machine.cores):
         traces.append(Trace(
             name=f"idle{core}",
             pc=np.zeros(1, dtype=np.uint64),
-            addr=np.array([a + np.uint64((core + flood + 8) * set_stride)],
+            addr=np.array([a + np.uint64((core + rounds * flood + 8) * set_stride)],
                           dtype=np.uint64),
             write=np.zeros(1, dtype=bool),
-            gap=np.array([200000], dtype=np.uint32),
+            gap=np.array([200000 * rounds], dtype=np.uint32),
         ))
     return Workload(name="demotion-adversary", traces=tuple(traces))
 
@@ -236,6 +244,33 @@ class TestDemotionRepair:
             # so the hazard must be repaired by demotion, not by the
             # cross-chunk carry invalidation.
             assert stats["demoted"] >= 1
+
+    def test_pair_demoted_twice_in_one_chunk(self):
+        """Two hazards on one (partition, core) pair inside one chunk:
+        the pair's candidate pointer must move past the first demotion
+        and demote the next candidate on the second eviction."""
+        machine = get_machine("tiny")
+        cfg = SimConfig(machine=machine, refs_per_core=64, seed=1)
+        workload = demotion_workload(machine, rounds=2)
+        stats = assert_bit_identical(cfg, workload, "double hazard")
+        assert stats["chunks"] == 1
+        assert stats["demoted"] >= 2
+
+    def test_hazard_on_pair_without_candidates_left_kills_carry(self):
+        """The victim re-touches A at once (a candidate), then the flood
+        evicts A while the pair has no candidate left in the chunk: the
+        hazard must invalidate the cross-chunk carry, or the final touch
+        (alone in the next chunk) would skip as an L1 hit."""
+        machine = get_machine("tiny")
+        cfg = SimConfig(machine=machine, refs_per_core=64, seed=1)
+        workload = demotion_workload(machine, victim_gaps=(0, 0, 100000))
+        total = workload.total_refs
+        stats = assert_bit_identical(cfg, workload, "carry kill",
+                                     chunk_refs=total - 1)
+        assert stats["chunks"] == 2
+        assert stats["demoted"] == 0
+        stream = ContentSimulator(cfg, vectorized=False).run(workload)
+        assert stream.core[-1] == 0 and stream.hit_level[-1] == 0
 
 
 # ============================================== selection and fallbacks
