@@ -34,7 +34,8 @@ from typing import TYPE_CHECKING
 from repro import telemetry
 from repro.energy.params import MACHINES, get_machine
 from repro.hierarchy.inclusion import InclusionPolicy
-from repro.sim.config import SimConfig
+from repro.sim.config import (DEFAULT_WORKER_TIMEOUT_S, WORKER_TIMEOUT_ENV,
+                              SimConfig)
 from repro.util.validation import ReproError
 from repro.workloads.names import PAPER_WORKLOADS
 
@@ -197,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker processes (default: cpu-derived; 1 = serial)")
     sw.add_argument("--timeout", type=float, default=None,
                     help="per-shard worker timeout in seconds "
-                         "(default: REPRO_WORKER_TIMEOUT or 300)")
+                         f"(default: {WORKER_TIMEOUT_ENV} or "
+                         f"{DEFAULT_WORKER_TIMEOUT_S:.0f})")
     sw.add_argument("--max-cells", type=int, default=None,
                     help="stop after this many pending cells (resume "
                          "later; used by CI to exercise the resume path)")

@@ -1,21 +1,19 @@
-"""Shared experiment context: default config, runner memoization, schemes.
+"""Shared experiment context: default config and runner memoization.
 
-Experiments regenerate different figures from the *same* content streams
-(that is the whole point of the two-phase design), so the runner — which
-caches workloads and streams — is memoized per config.  A pytest-benchmark
-session that regenerates Figures 6-10 therefore pays for each content walk
-exactly once.
+The build-only specs (``intro``, ``fig14-15``, the extensions, the zoo) run
+through an :class:`ExperimentRunner`, which caches workloads and content
+streams, so it is memoized per config: specs that run back-to-back share
+their walks.  Grid specs (Figs. 6-13, ``ext-relwork``, four of the
+ablations, the studies) never use it; they share walks through the
+stream cache instead (see :mod:`repro.experiments.driver`).
 """
 
 from __future__ import annotations
 
-from repro.core.redhip import redhip_scheme
-from repro.predictors.base import SchemeSpec, base_scheme, oracle_scheme, phased_scheme
-from repro.predictors.cbf_scheme import cbf_scheme
 from repro.sim.config import SimConfig, bench_config
 from repro.sim.runner import ExperimentRunner
 
-__all__ = ["get_runner", "default_config", "paper_schemes", "clear_cache"]
+__all__ = ["get_runner", "default_config", "clear_cache"]
 
 _RUNNERS: dict[tuple, ExperimentRunner] = {}
 
@@ -45,14 +43,3 @@ def get_runner(config: SimConfig | None = None) -> ExperimentRunner:
 def clear_cache() -> None:
     """Drop memoized runners (frees stream memory between suites)."""
     _RUNNERS.clear()
-
-
-def paper_schemes(config: SimConfig, include_oracle: bool = True) -> list[SchemeSpec]:
-    """The §V scheme line-up: Base, Oracle, CBF, Phased, ReDHiP."""
-    schemes = [base_scheme()]
-    if include_oracle:
-        schemes.append(oracle_scheme())
-    schemes.append(cbf_scheme())
-    schemes.append(phased_scheme())
-    schemes.append(redhip_scheme(recal_period=config.recal_period))
-    return schemes

@@ -1,20 +1,22 @@
 """Declarative experiment driver: one place that runs any spec.
 
 Every paper artifact is described by an :class:`ExperimentSpec` — id,
-title, figure, sweep axes, scheme line-up, workloads — plus a ``build``
+title, figure, sweep axes, scheme line-up, workloads — plus exactly one
+implementation: either the ``cells``/``render`` grid pair or a ``build``
 callable that turns an :class:`ExperimentContext` into an
 :class:`~repro.sim.report.ExperimentResult`.  :func:`run_spec` is the one
 path every spec runs through, so the cross-cutting wiring happens exactly
 once:
 
-**One execution substrate** (DESIGN.md): a spec that also declares the
-``cells``/``render`` pair *compiles to* a sweep — :func:`run_spec` expands
-the grid, executes it through :func:`repro.sweep.scheduler.run_cells`
-against a :class:`~repro.results.store.ResultsStore` (resumable, sharded,
+**One execution substrate** (DESIGN.md): a grid spec *compiles to* a
+sweep — :func:`run_spec` expands the grid, executes it through
+:func:`repro.sweep.scheduler.run_cells` against a
+:class:`~repro.results.store.ResultsStore` (resumable, sharded,
 journalled, fault-aware), and renders the artifact as a pure function of
-the canonical store rows.  ``build`` remains the fallback for configs the
-grid vocabulary cannot express (non-registry machines, coherent or
-timing-model variants) and for genuinely non-grid artifacts.  Pass
+the canonical store rows.  That is its only path: a config the cell
+vocabulary cannot express (see :func:`griddable`) is refused with a
+:class:`~repro.util.validation.ConfigError`, never computed some other
+way.  ``build`` is for genuinely non-grid artifacts.  Pass
 ``store=<path>`` to keep the results store (a second run resumes from it);
 by default each run uses a private temporary store, recomputing cells but
 sharing content walks through a process-wide stream cache.
@@ -24,12 +26,13 @@ sharing content walks through a process-wide stream cache.
 * **fault injection** — a config that names a fault plan
   (``SimConfig(faults=...)``) is activated before the build runs, even
   for specs that never construct a runner;
-* **runner memoization** — the context's :attr:`ExperimentContext.runner`
-  is the shared memoized runner for the resolved config, so specs that
-  run back-to-back share content walks;
+* **runner memoization** — a build spec's
+  :attr:`ExperimentContext.runner` is the shared memoized runner for the
+  resolved config, so specs that run back-to-back share content walks;
 * **parallel prewarm** — when the user opts in via ``REPRO_PARALLEL``,
-  the spec's workload list is walked through the process pool before the
-  build starts evaluating schemes.
+  a build spec's workload list is walked through the process pool before
+  the build starts evaluating schemes (grid specs run their cells on the
+  scheduler's pool instead).
 
 The registry (:mod:`repro.experiments.registry`) maps artifact ids to
 specs; the per-figure modules keep thin ``run(config=None, **kwargs)``
@@ -52,7 +55,7 @@ from repro.energy.params import get_machine
 from repro.experiments.context import default_config, get_runner
 from repro.sim.config import CACHE_ENV, SimConfig
 from repro.sim.report import ExperimentResult
-from repro.util.validation import ReproError
+from repro.util.validation import ConfigError, ReproError
 
 __all__ = ["ExperimentContext", "ExperimentSpec", "griddable", "run_spec"]
 
@@ -61,9 +64,9 @@ __all__ = ["ExperimentContext", "ExperimentSpec", "griddable", "run_spec"]
 class ExperimentSpec:
     """Declarative description of one reproducible artifact.
 
-    ``build(ctx, **kwargs)`` does the experiment-specific work; everything
-    else is metadata the driver and the CLI (``repro experiments ls``)
-    read without running anything.
+    Exactly one of ``build`` or the ``cells``/``render`` pair does the
+    experiment-specific work; everything else is metadata the driver and
+    the CLI (``repro experiments ls``) read without running anything.
 
     ``smoke_kwargs`` are the overrides a cheap registry-wide smoke pass
     uses (typically a two-workload subset); ``uses_runner`` is False for
@@ -73,7 +76,10 @@ class ExperimentSpec:
 
     experiment_id: str
     title: str
-    build: Callable[..., ExperimentResult] = field(compare=False)
+    #: ``build(ctx, **kwargs)``: the imperative body of a non-grid spec;
+    #: ``None`` for a grid spec.
+    build: "Callable[..., ExperimentResult] | None" = field(
+        default=None, compare=False)
     #: Paper anchor ("Figure 6", "Table I") or "—" for extensions/ablations.
     figure: str = "—"
     #: "paper" | "extension" | "ablation".
@@ -87,21 +93,33 @@ class ExperimentSpec:
     uses_runner: bool = True
     smoke_kwargs: Mapping[str, Any] = field(default_factory=dict, compare=False)
     notes: str = ""
-    #: Grid protocol (both or neither): ``cells(cfg, **kwargs)`` compiles
-    #: the experiment to canonical :class:`~repro.sweep.spec.CellSpec`
-    #: instances; ``render(cfg, rows, **kwargs)`` turns the resulting
-    #: fingerprint-keyed store rows into the artifact.  When present and
-    #: the config is :func:`griddable`, :func:`run_spec` executes through
-    #: the sweep scheduler + results store instead of ``build``.
+    #: Grid protocol (both or neither, and never with ``build``):
+    #: ``cells(cfg, **kwargs)`` compiles the experiment to canonical
+    #: :class:`~repro.sweep.spec.CellSpec` instances;
+    #: ``render(cfg, rows, **kwargs)`` turns the resulting
+    #: fingerprint-keyed store rows into the artifact.  :func:`run_spec`
+    #: executes it through the sweep scheduler + results store.
     cells: "Callable[..., list] | None" = field(default=None, compare=False)
     render: "Callable[..., ExperimentResult] | None" = field(
         default=None, compare=False)
 
+    def __post_init__(self) -> None:
+        if (self.cells is None) != (self.render is None):
+            raise ConfigError(
+                f"spec {self.experiment_id!r}: the grid protocol needs both "
+                f"cells and render, not one of them"
+            )
+        if (self.build is None) == (self.cells is None):
+            raise ConfigError(
+                f"spec {self.experiment_id!r}: declare exactly one of build "
+                f"or cells/render"
+            )
+
 
 class ExperimentContext:
-    """What a spec's ``build`` receives: the resolved config plus the
-    memoized runner for it (built lazily, so runner-less specs never pay
-    for one)."""
+    """What a build spec's ``build`` receives: the resolved config plus
+    the memoized runner for it (built lazily, so runner-less specs never
+    pay for one)."""
 
     def __init__(self, spec: ExperimentSpec, config: SimConfig) -> None:
         self.spec = spec
@@ -146,10 +164,10 @@ def griddable(cfg: SimConfig) -> bool:
     A :class:`~repro.sweep.spec.CellSpec` pins a *registry* machine by
     name plus the paper's timing model; a config that modifies the machine
     (``with_cores``/``deep_machine``), turns on coherence, or relaxes the
-    §IV memory model has no cell encoding and stays on the imperative
-    ``build`` path.  ``checked=True`` set on the config object (rather
-    than via ``REPRO_CHECKED``, which workers inherit) is likewise not
-    representable.
+    §IV memory model has no cell encoding, so :func:`run_spec` refuses to
+    run a grid spec on it.  ``checked=True`` set on the config object
+    (rather than via ``REPRO_CHECKED``, which workers inherit) is likewise
+    not representable.
     """
     try:
         registry = get_machine(cfg.machine.name)
@@ -244,7 +262,8 @@ def run_spec(
     caller's kwargs (explicit arguments win), which is how the CLI's
     ``repro experiments smoke`` and CI keep a registry-wide pass cheap.
     ``store`` (grid specs only) persists the results store at that path so
-    an interrupted figure resumes instead of recomputing.
+    an interrupted figure resumes instead of recomputing.  A grid spec on
+    a config that is not :func:`griddable` raises :class:`ConfigError`.
     """
     cfg = config if config is not None else default_config()
     if smoke:
@@ -252,7 +271,18 @@ def run_spec(
     with telemetry.span("experiment", experiment=spec.experiment_id):
         telemetry.count("experiments.runs", experiment=spec.experiment_id)
         faults.ensure(cfg)
-        if spec.cells is not None and spec.render is not None and griddable(cfg):
+        if spec.build is None:
+            if not griddable(cfg):
+                raise ConfigError(
+                    f"{spec.experiment_id} is grid-native: it runs only "
+                    f"through the sweep substrate, and this config is not "
+                    f"grid-expressible (a modified machine, coherence, a "
+                    f"relaxed timing model, or checked=True on the config). "
+                    f"Use a registry machine with the paper timing model; "
+                    f"for checked mode set REPRO_CHECKED=1 instead; for "
+                    f"machine and timing variants see ext-cores, ext-depth "
+                    f"and ext-timing."
+                )
             return _run_grid(spec, cfg, store, kwargs)
         ctx = ExperimentContext(spec, cfg)
         if spec.uses_runner:

@@ -9,11 +9,11 @@ experiment into two pure halves:
   sharded, journalled, fault-aware) against a :class:`~repro.results.store.
   ResultsStore`.
 * ``render(cfg, rows, **kwargs)`` — a pure function from canonical store
-  rows (keyed by fingerprint) back to the exact
-  :class:`~repro.sim.report.ExperimentResult` the imperative ``build``
-  produced.  Byte-identity against ``tests/golden/artifacts/`` is the
-  acceptance bar, so every renderer recomputes the figures' arithmetic
-  from the same stored floats in the same order.
+  rows (keyed by fingerprint) to the
+  :class:`~repro.sim.report.ExperimentResult`.  Byte-identity against
+  ``tests/golden/artifacts/`` is the acceptance bar, so every renderer
+  recomputes the figures' arithmetic from the same stored floats in the
+  same order as the :class:`~repro.sim.evaluate.SchemeResult` methods.
 
 This module holds the shared vocabulary: the scheme-key -> display-name
 map, the config -> cell compiler, and :class:`RowResult` — a
@@ -52,7 +52,7 @@ SCHEME_NAMES = {
     "cbf_counting": "CBF-counting",
 }
 
-#: The §V line-up in :func:`repro.experiments.context.paper_schemes` order.
+#: The §V line-up (Base, Oracle, CBF, Phased, ReDHiP) in figure column order.
 PAPER_SCHEME_KEYS = ("base", "oracle", "cbf", "phased", "redhip")
 
 

@@ -13,10 +13,12 @@ holds the faulted run to three standards:
    plan spec, which covers worker crashes whose in-worker records die
    with the worker — must be matched by a ``faults.handled`` recovery
    event at the same site in the run manifest;
-3. **equal evaluation counters**: the replay-path and invariant counter
-   sections of the two manifests must be identical — chaos may cost
-   extra walks and retries, but it may never change *how results are
-   computed*.
+3. **equal evaluation counters**: the replay-path counters and the
+   invariant result checks and violations of the two manifests must be
+   identical — chaos may cost extra walks and retries, but it may never
+   change *how results are computed*.  The one counter a re-walk may
+   raise is ``inclusion_sweeps`` (checked mode counts walk-side sweeps),
+   so the faulted run may only have as many or more.
 
 ``repro chaos --plan plan.json`` is the CLI entry point; both manifests
 and artifacts are written under ``--out`` for post-mortems.
@@ -167,12 +169,25 @@ def run_chaos(experiment_id: str, config, plan: FaultPlan, out_dir: "str | Path"
                 f"(match={spec.match}) left no faults.handled event"
             )
 
-    # Chaos may add walks and retries, never change evaluation behaviour.
-    for section in ("replay", "invariants"):
-        clean = clean_manifest.get("summary", {}).get(section)
-        faulted = faulted_manifest.get("summary", {}).get(section)
-        if clean != faulted:
-            report.problems.append(
-                f"summary[{section!r}] differs: clean {clean} vs faulted {faulted}"
-            )
+    report.problems.extend(_counter_problems(clean_manifest.get("summary", {}),
+                                             faulted_manifest.get("summary", {})))
     return report
+
+
+def _counter_problems(clean: dict, faulted: dict) -> list:
+    """Standard 3 on two manifest summaries: chaos may add walks and
+    retries, never change evaluation behaviour."""
+    problems = []
+    if clean.get("replay") != faulted.get("replay"):
+        problems.append(f"summary['replay'] differs: clean "
+                        f"{clean.get('replay')} vs faulted {faulted.get('replay')}")
+    clean_inv = dict(clean.get("invariants") or {})
+    faulted_inv = dict(faulted.get("invariants") or {})
+    # A re-walk re-runs the walk-side inclusion sweeps; nothing else grows.
+    clean_sweeps = clean_inv.pop("inclusion_sweeps", 0)
+    faulted_sweeps = faulted_inv.pop("inclusion_sweeps", 0)
+    if clean_inv != faulted_inv or faulted_sweeps < clean_sweeps:
+        problems.append(f"summary['invariants'] differs: clean "
+                        f"{clean.get('invariants')} vs faulted "
+                        f"{faulted.get('invariants')}")
+    return problems

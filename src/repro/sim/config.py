@@ -22,6 +22,10 @@ Environment knobs honoured by the benchmark/experiment layer:
 ``REPRO_FAULTS``
     Path to a fault-injection plan (chaos testing); see
     :mod:`repro.faults`.
+``REPRO_WORKER_TIMEOUT``
+    Per-worker timeout in seconds for pooled walks and sweep shards
+    (default :data:`DEFAULT_WORKER_TIMEOUT_S`); see
+    :func:`repro.sim.parallel.default_worker_timeout`.
 """
 
 from __future__ import annotations
@@ -33,12 +37,22 @@ from repro.energy.params import MachineConfig, get_machine
 from repro.hierarchy.inclusion import InclusionPolicy
 from repro.util.validation import check_positive
 
-__all__ = ["CACHE_ENV", "SimConfig", "default_recal_period", "bench_config"]
+__all__ = ["CACHE_ENV", "DEFAULT_WORKER_TIMEOUT_S", "WORKER_TIMEOUT_ENV",
+           "SimConfig", "default_recal_period", "bench_config"]
 
 #: Stream-cache environment switch (value grammar in
 #: :mod:`repro.sim.streamcache`).  Defined here, not there, so the sweep
 #: scheduler can honour it without importing the simulator.
 CACHE_ENV = "REPRO_STREAM_CACHE"
+
+#: Environment override for the per-worker timeout (seconds).  Defined
+#: here, with its default, so the CLI help can quote both without
+#: importing the process pool.
+WORKER_TIMEOUT_ENV = "REPRO_WORKER_TIMEOUT"
+
+#: Generous default: a content walk is minutes at most; a worker silent
+#: for this long is treated as lost and its shard re-runs serially.
+DEFAULT_WORKER_TIMEOUT_S = 600.0
 
 
 def default_recal_period(machine: MachineConfig) -> int:

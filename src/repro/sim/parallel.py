@@ -32,7 +32,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from repro import faults, telemetry
 from repro.hierarchy.events import OutcomeStream
 from repro.hierarchy.inclusion import InclusionPolicy
-from repro.sim.config import SimConfig
+from repro.sim.config import DEFAULT_WORKER_TIMEOUT_S, WORKER_TIMEOUT_ENV, SimConfig
 from repro.sim.content import ContentSimulator
 from repro.sim.runner import ExperimentRunner
 from repro.sim.streamcache import resolve_cache, stream_key
@@ -41,13 +41,6 @@ from repro.workloads import get_workload
 
 __all__ = ["walk_one", "walk_one_traced", "prewarm_streams",
            "default_workers", "default_worker_timeout"]
-
-#: Environment override for the per-worker prewarm timeout (seconds).
-WORKER_TIMEOUT_ENV = "REPRO_WORKER_TIMEOUT"
-
-#: Generous default: a content walk is minutes at most; a worker silent
-#: for this long is treated as lost and its shard re-runs serially.
-DEFAULT_WORKER_TIMEOUT_S = 600.0
 
 
 def default_workers() -> int:

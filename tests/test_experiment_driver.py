@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.energy.params import get_machine
-from repro.experiments import SPECS, clear_cache, get_spec, run_spec
+from repro.experiments import ExperimentSpec, SPECS, clear_cache, get_spec, run_spec
 from repro.sim.config import SimConfig
 from repro.sim.report import scheme_comparison_table
 from repro.util.validation import ConfigError
@@ -24,8 +24,29 @@ def test_every_spec_is_complete():
     for eid, spec in SPECS.items():
         assert spec.experiment_id == eid
         assert spec.title
-        assert callable(spec.build)
+        if spec.build is None:
+            assert callable(spec.cells) and callable(spec.render), eid
+        else:
+            assert callable(spec.build), eid
+            assert spec.cells is None and spec.render is None, eid
         assert spec.kind in ("paper", "extension", "ablation")
+
+
+def _stub(*args, **kwargs):
+    raise AssertionError("never called")
+
+
+@pytest.mark.parametrize("shape, message", [
+    ({}, "exactly one of build or cells/render"),
+    ({"build": _stub, "cells": _stub, "render": _stub},
+     "exactly one of build or cells/render"),
+    ({"cells": _stub}, "both cells and render"),
+    ({"render": _stub}, "both cells and render"),
+    ({"build": _stub, "cells": _stub}, "both cells and render"),
+])
+def test_spec_protocol_is_enforced(shape, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentSpec(experiment_id="bad", title="bad", **shape)
 
 
 def test_get_spec_unknown_id():

@@ -1,23 +1,22 @@
-"""Experiments-as-sweeps: the grid path is the build path, resumably.
+"""Experiments-as-sweeps: a grid spec runs only on the sweep substrate.
 
 The one-execution-substrate contract (DESIGN.md): a spec that declares
 ``cells``/``render`` runs through the sweep scheduler + results store and
-must produce the *same bytes* the imperative ``build`` produces.  The
-registry-wide byte pin lives in ``test_golden_artifacts``; this module
-tests the substrate's own properties — routing, build/grid equivalence on
-a live config, resume from a kept store, and the grid-native studies'
-refusal to run off-grid.
+nowhere else.  The registry-wide byte pin lives in
+``test_golden_artifacts``; this module tests the substrate's own
+properties — the protocol, resume from a kept store, and every grid
+spec's refusal to run on a config the cell vocabulary cannot express.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as spec_replace
+from dataclasses import replace
 
 import pytest
 
 from repro.energy.params import get_machine
 from repro.experiments import SPECS, clear_cache, run_spec
-from repro.experiments.driver import ExperimentContext, griddable
+from repro.experiments.driver import griddable
 from repro.sim.config import SimConfig
 from repro.sweep import run_cells
 from repro.util.validation import ConfigError
@@ -37,6 +36,22 @@ def smoke_config(**overrides):
                      seed=7, **overrides)
 
 
+def _off_registry_machine(cfg):
+    """A machine that is not the registry object (``deep_machine``,
+    ``with_cores``, ... all produce these)."""
+    return replace(cfg, machine=replace(cfg.machine, name="not-in-registry"))
+
+
+#: Configs the cell vocabulary cannot express, one per off-grid axis.
+OFF_GRID = {
+    "memory-model": lambda: smoke_config(memory_latency=120.0,
+                                         memory_energy_nj=8.0, mlp=4.0),
+    "coherent": lambda: smoke_config(coherent=True),
+    "checked": lambda: smoke_config(checked=True),
+    "machine": lambda: _off_registry_machine(smoke_config()),
+}
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _drop_shared_runner():
     yield
@@ -44,6 +59,8 @@ def _drop_shared_runner():
 
 
 def test_converted_specs_declare_the_grid_protocol():
+    assert {eid for eid, spec in SPECS.items() if spec.build is None} \
+        == set(CONVERTED)
     for eid in CONVERTED:
         spec = SPECS[eid]
         assert spec.cells is not None and spec.render is not None, eid
@@ -55,53 +72,8 @@ def test_converted_specs_declare_the_grid_protocol():
 
 def test_griddable_is_the_routing_predicate():
     assert griddable(smoke_config())
-    assert not griddable(smoke_config(memory_latency=120.0))
-    assert not griddable(smoke_config(coherent=True))
-    assert not griddable(smoke_config(checked=True))
-    deep = replace_machine_name(smoke_config())
-    assert not griddable(deep)
-
-
-def replace_machine_name(cfg):
-    """A config whose machine is not the registry object (deep_machine,
-    with_cores, ... all produce these)."""
-    from dataclasses import replace
-
-    machine = replace(cfg.machine, name="not-in-registry")
-    return replace(cfg, machine=machine)
-
-
-def test_grid_path_never_calls_build_when_griddable():
-    def boom(ctx, **kwargs):
-        raise AssertionError("build called on a griddable config")
-
-    spec = spec_replace(SPECS["fig8"], build=boom)
-    result = run_spec(spec, smoke_config(), smoke=True)
-    assert result.experiment_id == "fig8"
-
-
-def test_non_griddable_config_falls_back_to_build(monkeypatch):
-    from repro.experiments import driver
-
-    def boom(*a, **k):
-        raise AssertionError("grid path taken for a non-griddable config")
-
-    monkeypatch.setattr(driver, "_run_grid", boom)
-    cfg = smoke_config(memory_latency=120.0, memory_energy_nj=8.0, mlp=4.0)
-    result = run_spec(SPECS["fig8"], cfg, smoke=True)
-    assert result.experiment_id == "fig8"
-
-
-def test_grid_and_build_produce_identical_artifacts():
-    cfg = smoke_config()
-    for eid in ("fig6", "fig13", "ablation-replacement"):
-        spec = SPECS[eid]
-        via_grid = run_spec(spec, cfg, smoke=True)
-        via_build = spec.build(ExperimentContext(spec, cfg),
-                               **dict(spec.smoke_kwargs))
-        assert via_grid.series == via_build.series, eid
-        assert via_grid.table == via_build.table, eid
-        assert via_grid.notes == via_build.notes, eid
+    for variant, make in OFF_GRID.items():
+        assert not griddable(make()), variant
 
 
 def test_killed_figure_resumes_from_a_kept_store(tmp_path):
@@ -127,8 +99,18 @@ def test_killed_figure_resumes_from_a_kept_store(tmp_path):
     assert again.resumed == len({c.fingerprint() for c in cells})
 
 
-def test_grid_native_studies_refuse_off_grid_configs():
-    cfg = smoke_config(memory_latency=120.0)
-    for eid in ("study-recal", "study-pt"):
-        with pytest.raises(ConfigError, match="grid-native"):
-            run_spec(SPECS[eid], cfg, smoke=True)
+@pytest.mark.parametrize("variant", sorted(OFF_GRID))
+@pytest.mark.parametrize("eid", CONVERTED)
+def test_grid_native_studies_refuse_off_grid_configs(eid, variant, monkeypatch):
+    from repro.experiments import driver
+
+    def boom(*a, **k):
+        raise AssertionError("grid path taken for an off-grid config")
+
+    monkeypatch.setattr(driver, "_run_grid", boom)
+    with pytest.raises(ConfigError, match="grid-native") as exc:
+        run_spec(SPECS[eid], OFF_GRID[variant](), smoke=True)
+    message = str(exc.value)
+    assert eid in message and "REPRO_CHECKED=1" in message
+    for variant_spec in ("ext-cores", "ext-depth", "ext-timing"):
+        assert variant_spec in message

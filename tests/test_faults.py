@@ -539,6 +539,28 @@ class TestChaosHarness:
             ])
         assert logs[0] == logs[1]
 
+    def test_counters_let_rewalks_add_inclusion_sweeps_only(self):
+        """Checked mode counts walk-side inclusion sweeps, so a faulted
+        run that re-walks may report more of them; every other counter
+        must match the clean run exactly."""
+        from repro.faults.chaos import _counter_problems
+
+        def summary(sweeps, checks=0, violations=0, skips=5):
+            return {"replay": {"skips": skips},
+                    "invariants": {"inclusion_sweeps": sweeps,
+                                   "result_checks": checks,
+                                   "violations": violations}}
+
+        assert _counter_problems(summary(2), summary(2)) == []
+        assert _counter_problems(summary(2), summary(4)) == []
+        assert _counter_problems({}, {}) == []
+        for faulted in (summary(1), summary(4, checks=1),
+                        summary(2, violations=1)):
+            problems = _counter_problems(summary(2), faulted)
+            assert len(problems) == 1 and "invariants" in problems[0]
+        problems = _counter_problems(summary(2), summary(2, skips=6))
+        assert len(problems) == 1 and "replay" in problems[0]
+
     def test_vecwalk_plan_fallback_is_bit_identical(self, tmp_path):
         """The vectorized-walk chaos plan: killing the vector path
         mid-experiment (plus a cache-save failure) must leave the

@@ -275,6 +275,23 @@ def test_failing_cell_is_skipped_then_retried_next_run(tmp_path):
 
 
 # ------------------------------------------------------------------- CLI
+def test_cli_sweep_timeout_help_names_the_real_default(capsys, monkeypatch):
+    import re
+
+    from repro.cli import main
+    from repro.sim.parallel import default_worker_timeout
+
+    monkeypatch.delenv("REPRO_WORKER_TIMEOUT", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    match = re.search(r"--timeout TIMEOUT .*?\(default: REPRO_WORKER_TIMEOUT "
+                      r"or (\d+)\)", help_text)
+    assert match, help_text
+    assert float(match.group(1)) == default_worker_timeout()
+
+
 def test_cli_sweep_plan_run_resume_and_query(tmp_path, capsys):
     from repro.cli import main
 
