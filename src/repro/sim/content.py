@@ -136,10 +136,16 @@ class ContentSimulator:
             chunks=stats["chunks"],
             skipped=stats["skipped"],
             demoted=stats["demoted"],
+            inclusion_victims=stats["inclusion_victims"],
+            llc_back_invalidations=stats["llc_back_invalidations"],
         )
         telemetry.count("content.vector_walks")
         telemetry.count("content.vector_chunks", stats["chunks"])
         telemetry.count("content.vector_skipped", stats["skipped"])
+        telemetry.count("content.inclusion_victims",
+                        stats["inclusion_victims"])
+        telemetry.count("content.llc_back_invalidations",
+                        stats["llc_back_invalidations"])
         return stream
 
     def _walk(self, workload: Workload, max_accesses: int | None) -> OutcomeStream:

@@ -29,14 +29,25 @@ set indexing works:
   the shared LLC, whose inclusion back-invalidation kills the L1 copy.
   The candidates (the bulk of any workload with locality — spatial runs,
   hot sets, duplicated-trace round-robin interleaving) are resolved with
-  one vectorized sort per chunk and never enter the Python loop; a
+  one stable sort per chunk and never enter the Python loop; a
   per-``(partition, core)`` carry extends the test across chunk
-  boundaries.
+  boundaries.  The pair key is ``uint16`` whenever there are at most
+  65536 pairs, so NumPy's stable argsort runs as a radix sort (same
+  permutation, about 10x faster than the int64 merge sort).
 
-* **Eviction-hazard repair.**  The residual Python replay (an inlined
+* **Per-core residency index.**  The residual Python replay (an inlined
   per-set LRU identical in effect to
   :meth:`CacheHierarchy._access_inclusive`, minus dirty-bit bookkeeping,
-  which provably never influences the outcome stream) tracks the hot
+  which provably never influences the outcome stream) keeps one dict per
+  core mapping each privately held block to the shallowest private level
+  holding it; per-core inclusion puts it in every deeper private level
+  too.  An access finds its private hit level with one lookup, a fill
+  victim is swept from the levels above only when the index has it there
+  (an *inclusion victim*), and an LLC eviction pops the victim from each
+  core's index and removes exactly the copies listed (an *LLC
+  back-invalidation*).
+
+* **Eviction-hazard repair.**  The residual replay tracks the hot
   block of every ``(partition, core)`` pair.  When an LLC eviction hits
   a block that is some pair's hot block, the pair's first still-pending
   candidate for that block is *demoted*: re-queued (in order) into the
@@ -63,7 +74,7 @@ policies/replacements onto the sequential path automatically.
 from __future__ import annotations
 
 import os
-from heapq import heappop, heappush
+from bisect import bisect_right
 
 import numpy as np
 
@@ -130,9 +141,10 @@ def walk_vectorized(
 ) -> "tuple[OutcomeStream, dict]":
     """The batched equivalent of ``ContentSimulator._walk``.
 
-    Returns ``(stream, stats)`` where ``stats`` carries the chunk, skip
-    and demotion counts the telemetry span tags report.  The stream is
-    byte-identical to the sequential walk's for every eligible
+    Returns ``(stream, stats)`` where ``stats`` carries the chunk, skip,
+    demotion and removed-private-copy counts (``inclusion_victims``,
+    ``llc_back_invalidations``) the telemetry span tags report.  The
+    stream is byte-identical to the sequential walk's for every eligible
     configuration.
     """
     if not eligible(config):
@@ -168,54 +180,25 @@ def walk_vectorized(
 
     # Per-set LRU state: MRU-first lists in dicts keyed by set index
     # (sparse — only touched sets materialize).
-    priv: list[list[dict]] = [
-        [dict() for _ in range(ncores)] for _ in range(num_levels - 1)
-    ]
     llc_sets: dict = {}
-    l1_of_core = priv[0]
-    l1_mask = masks[0]
-    # Probe chain below L1 for each core: (sets, mask, level) for L2..LLC
-    # (the hit level is precomputed so the loop carries no counter).
-    deeper = [
-        [(priv[lv][c], masks[lv], lv + 1) for lv in range(1, num_levels - 1)]
-        + [(llc_sets, llc_mask, num_levels)]
-        for c in range(ncores)
-    ]
-    # Back-invalidation chains, hoisted: per core the private levels
-    # top-down (LLC-eviction inclusion sweep), and per (core, fill level)
-    # the levels above it (private-victim sweep) — same notification
-    # order as the sequential hierarchy.
-    back_all = [
-        [(priv[lv][c], masks[lv]) for lv in range(num_levels - 2, -1, -1)]
-        for c in range(ncores)
-    ]
-    back_above = [
-        [
-            [(priv[lv2][c], masks[lv2]) for lv2 in range(lv - 1, -1, -1)]
-            for lv in range(num_levels - 1)
+    # Per core: its residency index, its private levels top-down as
+    # (sets, mask), and its fill chains.  The index maps every block the
+    # core holds privately to the shallowest private level (1-based)
+    # holding it; per-core inclusion puts the block in every deeper
+    # private level too, so one lookup gives an access's hit level and
+    # says exactly which copies a back-invalidation must remove.
+    # fills[top] fills levels top..1 as (sets, mask, assoc, level, next),
+    # where `next` is the victim's new shallowest level (0: none left).
+    cores_state = []
+    for c in range(ncores):
+        levels = [({}, masks[lv]) for lv in range(num_levels - 1)]
+        fills = [
+            tuple((levels[lv - 1][0], masks[lv - 1], assocs[lv - 1], lv,
+                   lv + 1 if lv < num_levels - 1 else 0)
+                  for lv in range(top, 0, -1))
+            for top in range(num_levels)
         ]
-        for c in range(ncores)
-    ]
-    fill_of_core = [
-        [(priv[lv][c], masks[lv], assocs[lv], back_above[c][lv])
-         for lv in range(num_levels - 2, -1, -1)]
-        for c in range(ncores)
-    ]
-    # Fill-chain suffixes per (core, start), precomputed so the hot loop
-    # never slices (a list allocation per access otherwise).
-    fill_from = [
-        [tuple(fill_of_core[c][s:]) for s in range(num_levels)]
-        for c in range(ncores)
-    ]
-
-    # Owner bitmask per LLC-resident block: a conservative superset of
-    # the cores whose private caches may hold it.  Set on LLC fill (sole
-    # owner) and LLC hit (new sharer); L1/L2/L3 hits imply the bit is
-    # already set, and the whole entry dies with the LLC eviction —
-    # inclusion guarantees no private copy survives that.  Lets the
-    # eviction back-invalidation sweep probe only plausible cores.
-    owners: dict = {}
-    allbits = (1 << ncores) - 1
+        cores_state.append(({}, levels, fills))
 
     # Cross-chunk carry per (partition, core): block of the pair's last
     # access, provided no LLC eviction has killed its L1 copy since.
@@ -234,12 +217,15 @@ def walk_vectorized(
     chunks = 0
     skipped = 0
     demoted_total = 0
+    swept = 0                 # private copies removed as inclusion victims
+    back_invalidated = 0      # private copies removed by LLC evictions
     core_parts: list[np.ndarray] = []
     block_parts: list[np.ndarray] = []
     write_parts: list[np.ndarray] = []
     gap_parts: list[np.ndarray] = []
 
     np_pmask = np.uint64(pmask)
+    key_dtype = np.uint16 if ngroups <= 1 << 16 else np.int64
     for chunk in stream_it:
         chunks += 1
         core_parts.append(chunk.core)
@@ -251,7 +237,9 @@ def walk_vectorized(
 
         # ---- candidate detection in (partition, core) grouping; the
         # stable sort keeps each pair's accesses in chronological order
-        pair = (blocks & np_pmask).astype(np.int64) * ncores + chunk.core
+        # (and on a 16-bit key NumPy's stable sort is a radix sort)
+        pair = ((blocks & np_pmask).astype(np.int64) * ncores
+                + chunk.core).astype(key_dtype, copy=False)
         order2 = np.argsort(pair, kind="stable")
         k2 = pair[order2]
         b2 = blocks[order2]
@@ -300,159 +288,126 @@ def walk_vectorized(
         # ---- residual replay in chronological order, merged with
         # demoted candidates (partition independence: any order keeping
         # per-partition order is exact, and this one emits LLC events in
-        # the sequential recorder's order)
+        # the sequential recorder's order).  `pair` IS the flat
+        # (partition, core) index — reuse it as the hot slot.
         res = np.flatnonzero(~cand)
         r_pos = res.tolist()
         r_core = chunk.core[res].tolist()
         r_block = blocks[res].tolist()
-        r_gidx = res + chunk.start
-        r_idx = r_gidx.tolist()
-        # `pair` IS the flat (partition, core) index — reuse it as the
-        # hot slot; precompute the L1 set key while vectorized.
         r_hot = pair[res].tolist()
-        r_l1k = (blocks[res] & np.uint64(l1_mask)).tolist()
         hl: list[int] = []
         hr: list[int] = []
         hl_app, hr_app = hl.append, hr.append
-        pending: list[int] = []        # heap of demoted positions
-        num_res = len(r_pos)
-        i = 0
+        base_idx = chunk.start
 
-        while i < num_res or pending:
-            if pending and (i >= num_res or pending[0] < r_pos[i]):
-                q = heappop(pending)
-                c = int(chunk.core[q])
-                b = int(blocks[q])
-                i0 = q + chunk.start
-                hot[int(pair[q])] = b
-                l1key = b & l1_mask
-                demoted = True
+        # A demoted candidate is inserted into these four lists at its
+        # chronological place, which always lies after the access being
+        # replayed, so the list iterators behind zip() still reach it.
+        for q, c, b, h in zip(r_pos, r_core, r_block, r_hot):
+            hot[h] = b
+            resident, levels, fills = cores_state[c]
+            hitlev = resident.get(b)
+            if hitlev is not None:
+                sets, mask = levels[hitlev - 1]
+                lst = sets[b & mask]
+                top = hitlev - 1
             else:
-                q = r_pos[i]
-                c = r_core[i]
-                b = r_block[i]
-                i0 = r_idx[i]
-                hot[r_hot[i]] = b
-                l1key = r_l1k[i]
-                i += 1
-                demoted = False
-
-            lst = l1_of_core[c].get(l1key)
-            hitlev = -1
-            if lst and b in lst:
-                hitlev = 1
+                top = num_levels - 1
+                key = b & llc_mask
+                lst = llc_sets.get(key)
+                if lst is not None and b in lst:
+                    hitlev = num_levels
+                else:
+                    # Memory miss: LLC fill first, evicting (and back-
+                    # invalidating) a victim when the set overflows —
+                    # same notification order as CacheHierarchy._fill_llc.
+                    hitlev = 0
+                    rank = -1
+                    if lst is None:
+                        lst = llc_sets[key] = []
+                    lst.insert(0, b)
+                    ew_app(q + base_idx)
+                    eo_app(EVENT_FILL)
+                    eb_app(b)
+                    if len(lst) > llc_assoc:
+                        vb = lst.pop()
+                        ew_app(q + base_idx)
+                        eo_app(EVENT_EVICT)
+                        eb_app(vb)
+                        for resident2, levels2, _ in cores_state:
+                            if vb in resident2:
+                                s2 = resident2.pop(vb)
+                                for sets2, mask2 in levels2[s2 - 1:]:
+                                    sets2[vb & mask2].remove(vb)
+                                back_invalidated += num_levels - s2
+                        # Eviction hazard: any pair whose hot block just
+                        # lost its L1 copy must not skip its next access
+                        # to it — demote that candidate (or kill the
+                        # cross-chunk carry if the pair is done here).
+                        base = (vb & pmask) * ncores
+                        if vb in hot[base:base + ncores]:
+                            for fl in range(base, base + ncores):
+                                if hot[fl] != vb:
+                                    continue
+                                g = cursor.get(fl)
+                                if g is None:
+                                    g = cursor[fl] = [
+                                        int(c_key.searchsorted(fl)),
+                                        int(c_key.searchsorted(fl, "right"))]
+                                ptr, end = g
+                                ptr += int(
+                                    c_pos[ptr:end].searchsorted(q, "right"))
+                                did_demote = (ptr < end and c_blk[ptr] == vb
+                                              and c_prd[ptr] < q)
+                                if did_demote:
+                                    p = int(c_pos[ptr])
+                                    j = bisect_right(r_pos, p)
+                                    r_pos.insert(j, p)
+                                    r_core.insert(j, fl - base)
+                                    r_block.insert(j, vb)
+                                    r_hot.insert(j, fl)
+                                    demoted_total += 1
+                                    skipped -= 1
+                                    ptr += 1
+                                g[0] = ptr
+                                if not did_demote and last_pos[fl] < q:
+                                    carry_valid[fl] = False
+            if hitlev:
                 if lst[0] == b:
                     rank = 0
                 else:
                     rank = lst.index(b)
                     del lst[rank]
                     lst.insert(0, b)
-            if hitlev < 0:
-                hitlev = 0
-                rank = -1
-                for sets, mask, lvl in deeper[c]:
-                    lst2 = sets.get(b & mask)
-                    if lst2 and b in lst2:
-                        hitlev = lvl
-                        if lst2[0] == b:
-                            rank = 0
-                        else:
-                            rank = lst2.index(b)
-                            del lst2[rank]
-                            lst2.insert(0, b)
-                        break
-                if hitlev == 0:
-                    # Memory miss: LLC fill first, evicting (and back-
-                    # invalidating) a victim when the set overflows —
-                    # same notification order as CacheHierarchy._fill_llc.
-                    key = b & llc_mask
-                    lst2 = llc_sets.get(key)
-                    if lst2 is None:
-                        lst2 = llc_sets[key] = []
-                    lst2.insert(0, b)
-                    owners[b] = 1 << c   # fresh fill: sole plausible owner
-                    ew_app(i0)
-                    eo_app(EVENT_FILL)
-                    eb_app(b)
-                    if len(lst2) > llc_assoc:
-                        vb = lst2.pop()
-                        ew_app(i0)
-                        eo_app(EVENT_EVICT)
-                        eb_app(vb)
-                        om = owners.pop(vb, allbits)
-                        while om:
-                            low = om & -om
-                            om -= low
-                            for l3, mask in back_all[low.bit_length() - 1]:
-                                l4 = l3.get(vb & mask)
-                                if l4 and vb in l4:
-                                    l4.remove(vb)
-                                else:
-                                    # Private levels are strictly
-                                    # inclusive per core (fills always
-                                    # reach down to the hit level, upper
-                                    # victims are swept): absent from
-                                    # this level => absent above it.
-                                    break
-                        # Eviction hazard: any pair whose hot block just
-                        # lost its L1 copy must not skip its next access
-                        # to it — demote that candidate (or kill the
-                        # cross-chunk carry if the pair is done here).
-                        base = (vb & pmask) * ncores
-                        for c2 in range(ncores):
-                            fl = base + c2
-                            if hot[fl] != vb:
-                                continue
-                            g = cursor.get(fl)
-                            if g is None:
-                                g = cursor[fl] = [
-                                    int(c_key.searchsorted(fl)),
-                                    int(c_key.searchsorted(fl, "right"))]
-                            ptr, end = g
-                            ptr += int(c_pos[ptr:end].searchsorted(q, "right"))
-                            did_demote = (ptr < end and c_blk[ptr] == vb
-                                          and c_prd[ptr] < q)
-                            if did_demote:
-                                heappush(pending, int(c_pos[ptr]))
-                                demoted_total += 1
-                                ptr += 1
-                            g[0] = ptr
-                            if not did_demote and last_pos[fl] < q:
-                                carry_valid[fl] = False
-                    start = 0
-                else:
-                    if hitlev == num_levels:
-                        # LLC hit: this core becomes a plausible owner
-                        # (it is about to fill its private levels).
-                        owners[b] = owners.get(b, 0) | (1 << c)
-                    start = num_levels - hitlev
-                # Fill private levels top..1, back-invalidating each
-                # level's victim from the levels above it (this core).
-                for dd, mask, assoc, above in fill_from[c][start]:
+            if top:
+                # Fill private levels top..1; a level's victim is swept
+                # from the levels above it only where the index has it.
+                for sets, mask, assoc, lv, nxt in fills[top]:
                     key = b & mask
-                    lst2 = dd.get(key)
-                    if lst2 is None:
-                        lst2 = dd[key] = []
-                    lst2.insert(0, b)
-                    if len(lst2) > assoc:
-                        vb = lst2.pop()
-                        for l3, mask2 in above:
-                            l4 = l3.get(vb & mask2)
-                            if l4 and vb in l4:
-                                l4.remove(vb)
-                            else:
-                                break  # inclusive: absent => absent above
-            if not demoted:
-                hl_app(hitlev)
-                hr_app(rank)
-            else:
-                hit_level[i0] = hitlev
-                hit_rank[i0] = rank
-                skipped -= 1
+                    lst = sets.get(key)
+                    if lst is None:
+                        lst = sets[key] = []
+                    lst.insert(0, b)
+                    if len(lst) > assoc:
+                        vb = lst.pop()
+                        s2 = resident[vb]
+                        if s2 < lv:
+                            for sets2, mask2 in levels[s2 - 1:lv - 1]:
+                                sets2[vb & mask2].remove(vb)
+                            swept += lv - s2
+                        if nxt:
+                            resident[vb] = nxt
+                        else:
+                            del resident[vb]
+                resident[b] = 1
+            hl_app(hitlev)
+            hr_app(rank)
 
-        if num_res:
-            hit_level[r_gidx] = np.asarray(hl, dtype=np.int8)
-            hit_rank[r_gidx] = np.asarray(hr, dtype=np.int8)
+        if hl:
+            at = res if len(r_pos) == len(res) else np.asarray(r_pos)
+            at = at + base_idx
+            hit_level[at] = np.asarray(hl, dtype=np.int8)
+            hit_rank[at] = np.asarray(hr, dtype=np.int8)
 
     final_llc: list[int] = []
     for lst in llc_sets.values():
@@ -487,6 +442,8 @@ def walk_vectorized(
         "skipped": skipped,
         "residual": n - skipped,
         "demoted": demoted_total,
+        "inclusion_victims": swept,
+        "llc_back_invalidations": back_invalidated,
         "partitions": nparts,
     }
     return stream, stats

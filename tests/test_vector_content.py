@@ -28,6 +28,7 @@ from repro.energy.params import (
     get_machine,
 )
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.hierarchy.hierarchy import CacheHierarchy
 from repro.sim import vector_content
 from repro.sim.config import SimConfig
 from repro.sim.content import ContentSimulator
@@ -125,7 +126,7 @@ def assert_bit_identical(cfg: SimConfig, workload: Workload, label: str,
 class TestDifferentialFuzz:
     def test_random_geometry_family_chunk(self):
         """200 randomized machine x family x chunk-size cases."""
-        skipped_total = 0
+        skipped_total = swept_total = back_total = 0
         for i, rng in cases(seed=20260808, n=200):
             machine = random_machine(rng)
             pool = FAMILIES if machine.num_levels >= 3 else SHALLOW_FAMILIES
@@ -144,9 +145,14 @@ class TestDifferentialFuzz:
             stats = assert_bit_identical(cfg, workload, label,
                                          chunk_refs=chunk)
             skipped_total += stats["skipped"]
-        # The candidate rule must actually fire across the corpus —
-        # otherwise the fuzz only ever exercises the residual loop.
+            swept_total += stats["inclusion_victims"]
+            back_total += stats["llc_back_invalidations"]
+        # The candidate rule and both back-invalidation causes must
+        # actually fire across the corpus — otherwise the fuzz never
+        # exercises the bulk skip or the residency-index sweeps.
         assert skipped_total > 0
+        assert swept_total > 0
+        assert back_total > 0
 
     @pytest.mark.parametrize("family", ("mcf", "mix", "pmf", "shared"))
     @pytest.mark.parametrize("boundary", ("one", "n-1", "n", "n+1"))
@@ -271,6 +277,95 @@ class TestDemotionRepair:
         assert stats["demoted"] == 0
         stream = ContentSimulator(cfg, vectorized=False).run(workload)
         assert stream.core[-1] == 0 and stream.hit_level[-1] == 0
+
+
+# ================================================= back-invalidation
+def sequential_removed_copies(cfg: SimConfig, workload: Workload,
+                              monkeypatch) -> dict:
+    """Walk the sequential hierarchy, counting the private copies each
+    back-invalidation cause removes — an oracle for the vector walk's
+    ``inclusion_victims`` / ``llc_back_invalidations`` stats."""
+    counts = {"inclusion_victims": 0, "llc_back_invalidations": 0}
+    original = CacheHierarchy._back_invalidate_private
+
+    def counting(self, core, below_level, block):
+        held = sum(self.private[lvl - 1][core].contains(block)
+                   for lvl in range(1, below_level))
+        cause = ("llc_back_invalidations" if below_level == self.num_levels
+                 else "inclusion_victims")
+        counts[cause] += held
+        return original(self, core, below_level, block)
+
+    monkeypatch.setattr(CacheHierarchy, "_back_invalidate_private", counting)
+    ContentSimulator(cfg, vectorized=False).run(workload)
+    return counts
+
+
+def single_core_trace(blocks) -> Workload:
+    """One core touching ``blocks`` in order, back to back."""
+    addr = np.asarray(blocks, dtype=np.uint64) * np.uint64(64)
+    return Workload(name="hand-built", traces=(Trace(
+        name="hand-built",
+        pc=np.zeros(len(addr), dtype=np.uint64),
+        addr=addr,
+        write=np.zeros(len(addr), dtype=bool),
+        gap=np.zeros(len(addr), dtype=np.uint32),
+    ),))
+
+
+class TestBackInvalidation:
+    @pytest.mark.parametrize("family", ("mcf", "soplex"))
+    def test_scaled_machine_both_causes(self, family, monkeypatch):
+        """Perfbench's geometry at 20k refs/core: byte identity, and both
+        back-invalidation causes fire with the sequential hierarchy's
+        exact copy counts (mcf 869/29, soplex 678/35 at seed 1)."""
+        machine = get_machine("scaled")
+        cfg = SimConfig(machine=machine, refs_per_core=20000, seed=1)
+        workload = get_workload(family, machine, 20000, 1)
+        stats = assert_bit_identical(cfg, workload, f"scaled/{family}")
+        assert stats["inclusion_victims"] > 0
+        assert stats["llc_back_invalidations"] > 0
+        oracle = sequential_removed_copies(cfg, workload, monkeypatch)
+        assert oracle == {k: stats[k] for k in oracle}
+
+    def test_victim_swept_from_two_levels_above(self, monkeypatch):
+        """A direct-mapped private L3 evicts A (then B) while it is still
+        in L2 and L1: both copies must go, or the stale ones resurface
+        as false hits or corrupt the L1/L2 LRU order."""
+        blk = 64  # bytes per block
+        levels = []
+        for name, size, assoc, shared in (
+            ("L1", 2 * blk, 2, False),    # 1 set
+            ("L2", 4 * blk, 4, False),    # 1 set
+            ("L3", 4 * blk, 1, False),    # 4 sets, direct-mapped
+            ("L4", 16 * blk, 4, True),    # 4 sets: never evicts here
+        ):
+            levels.append(CacheLevelParams(
+                name=name, size=size, assoc=assoc, shared=shared,
+                tag_delay=2, data_delay=3,
+                tag_energy=0.01, data_energy=0.04, leakage_w=0.001,
+            ))
+        machine = MachineConfig(
+            name="sweep-two-up", cores=1, frequency_hz=3.7e9,
+            levels=tuple(levels),
+            prediction_table=PredictionTableParams(
+                size=512, access_delay=1, wire_delay=5,
+                access_energy=0.02, leakage_w=0.01, banks=2),
+            description="direct-mapped private L3 under a 2-way L1",
+        )
+        a, b, c = 0, 4, 1   # A and B share L3 set 0; C sits in L3 set 1
+        workload = single_core_trace([c, a, b, a, c, b, c, a, c])
+        cfg = SimConfig(machine=machine, refs_per_core=9, seed=1)
+        stats = assert_bit_identical(cfg, workload, "sweep two up")
+        # A at B's first fill, then B, A, B at the three LLC hits that
+        # follow: four 2-copy sweeps.
+        assert stats["inclusion_victims"] == 8
+        assert stats["llc_back_invalidations"] == 0
+        oracle = sequential_removed_copies(cfg, workload, monkeypatch)
+        assert oracle == {k: stats[k] for k in oracle}
+        # C stays at L1 throughout, so its re-touches hit there.
+        stream = ContentSimulator(cfg, vectorized=False).run(workload)
+        assert stream.hit_level.tolist() == [0, 0, 0, 4, 1, 4, 1, 4, 1]
 
 
 # ============================================== selection and fallbacks
